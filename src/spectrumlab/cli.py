@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit status: 0 when the queried property holds (or the command just prints
-data), 1 when a checked property comes out false, 2 on usage errors.
+data), 1 when a checked property comes out false, 2 on usage and parse
+errors, 3 when an exhaustive search exceeds its budget.
 """
 
 import argparse
@@ -17,8 +18,8 @@ from . import lindenbaum as lb
 from . import report as rp
 from . import spectrum as sp
 from . import topology as tp
-from .lts import (Homomorphism, ParseError, catalog, catalog_names, fan_lts,
-                  from_json, parse_aut, to_aut, to_json, trace_lts)
+from .lts import (BudgetExceeded, ParseError, catalog, catalog_names,
+                  from_json, parse_aut, to_aut, to_json)
 
 
 class UsageError(Exception):
@@ -92,7 +93,10 @@ def cmd_equiv(args):
                      % ("yes" if d2 else "no", d2 == oracle))
         verdict = payload[_LEVEL_ALIASES.get("bisim")]
     elif level.startswith("depth:"):
-        d = int(level.split(":")[1])
+        try:
+            d = int(level.split(":")[1])
+        except ValueError:
+            raise UsageError("bad depth in level %r" % args.level)
         verdict = eq.d_equivalent(M, N, d)
         payload = {"level": level, "verdict": verdict}
         lines.append("depth-%d equivalent: %s" % (d, "yes" if verdict else "no"))
@@ -135,8 +139,11 @@ def cmd_equiv(args):
 def cmd_distinguish(args):
     M = _load_system(args.M)
     N = _load_system(args.N)
-    phi = hml.distinguishing_formula(M, N, fragment=args.fragment,
-                                     depth_bound=args.depth)
+    try:
+        phi = hml.distinguishing_formula(M, N, fragment=args.fragment,
+                                         depth_bound=args.depth)
+    except ValueError as e:  # the depth cap
+        raise UsageError(str(e))
     if phi is None:
         _emit(args, {"formula": None}, ["no distinguishing formula "
                                         "within the bounded family"])
@@ -188,7 +195,10 @@ def cmd_sigma(args):
             raise UsageError("custom needs a sequent and a system")
         sigma = geo.parse_sequent(args.M)
         M = _load_system(args.N)
-        verdict = geo.eval_sequent(M, sigma)
+        try:
+            verdict = geo.eval_sequent(M, sigma)
+        except KeyError as e:
+            raise UsageError("unknown state constant %s" % e)
         _emit(args, {"sequent": str(sigma), "verdict": verdict},
               ["%s: %s" % (sigma, "holds" if verdict else "fails")])
         return 0 if verdict else 1
@@ -233,7 +243,7 @@ def cmd_lattice(args):
         neg = sp.negations_and_core(L)
         lines.append("S -> F = %s" % sp.format_vector(
             L.heyting(NV["S"], NV["F"])))
-        for (x, y, _) in rp._SUBTRACTION_TABLE:
+        for (x, y, _) in rp.SUBTRACTION_TABLE:
             got = L.coheyting(NV[x], NV[y])
             lines.append("%s \\ %s = %s   (naive: %s)"
                          % (x, y, sp.format_vector(got),
@@ -292,8 +302,8 @@ def cmd_topology(args):
     if args.topic == "matrix":
         G = _load_system(args.M)
         U = tp.MorphismUniverse(G, bounds)
-        path_sieve = rp._path_sieve(U)
-        sieves = [("maximal", tp.maximal_sieve(U)), ("paths", path_sieve)]
+        sieves = [("maximal", tp.maximal_sieve(U)),
+                  ("paths", tp.path_sieve(U))]
         classes = [tp.PATHS, tp.TREES] + [
             tp.energy_class(sp.NAMED_VECTORS[n]) for n in ("T", "F", "B")]
         for (nm, S) in sieves:
@@ -318,25 +328,20 @@ def cmd_topology(args):
                    for ax in ("maximality", "stability", "transitivity")}
         status = 0 if all(payload.values()) else 1
     elif args.topic == "instability":
-        P1 = trace_lts("a")
-        F = fan_lts("a", "a")
-        f_l = Homomorphism(P1, F, (0, 1))
-        f_r = Homomorphism(P1, F, (0, 2))
-        UF = tp.MorphismUniverse(F, bounds)
-        UP = tp.MorphismUniverse(P1, bounds)
-        S = tp.generate_sieve(UF, [f_r])
-        pulled = tp.sieve_pullback(f_l, S, UP)
-        base_ok = tp.naive_covering(S, tp.TREES, UF)
-        pull_ok = tp.naive_covering(pulled, tp.TREES, UP)
+        # the witness applies tp.naive_covering to the sieve that
+        # tp.generate_sieve builds from the right leg and to its
+        # tp.sieve_pullback along the left leg
         wit = tp.naive_instability_witness(bounds)
         lines.append("sieve generated by the right leg: %d arrows, naive "
-                     "covering: %s" % (len(S.arrows), base_ok))
+                     "covering: %s" % (wit["sieve_size"], wit["base_covering"]))
         lines.append("pullback along the left leg: %d arrows, naive "
-                     "covering: %s" % (len(pulled.arrows), pull_ok))
+                     "covering: %s" % (wit["pullback_size"],
+                                       wit["pullback_covering"]))
         lines.append("identity excluded from the pullback: %s"
                      % (not wit["identity_in_pullback"]))
         payload = dict(wit)
-        status = 0 if (base_ok and not pull_ok) else 1
+        status = 0 if (wit["base_covering"]
+                       and not wit["pullback_covering"]) else 1
     elif args.topic == "support":
         G = _load_system(args.M)
         words = sorted(tp.trace_support(G, int(args.N)))
@@ -509,6 +514,9 @@ def main(argv=None):
     except (ParseError, FileNotFoundError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
+    except BudgetExceeded as e:
+        print("error: budget exceeded: %s" % e, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -11,26 +11,42 @@ LEVELS = ("enabledness", "trace", "failures", "simulation",
 
 
 # ---------------------------------------------------------------------------
-# relational fixpoints
+# relational fixpoints: one refinement loop for the simulation family
 
 
-def simulation_preorder(M, N, seed=None):
-    """Greatest simulation relation: (s,t) kept iff every move of s is
-    matched from t inside the relation."""
-    if seed is None:
-        rel = {(s, t) for s in range(M.n) for t in range(N.n)}
-    else:
-        rel = set(seed)
+def _all_pairs(M, N):
+    return {(s, t) for s in range(M.n) for t in range(N.n)}
+
+
+def _refine(M, N, rel, back=False):
+    """Greatest relation inside rel where every move of s is matched from t
+    inside the relation (and, with back, every move of t from s)."""
+    out_M = [{a: M.successors(s, a) for a in M.alphabet} for s in range(M.n)]
+    out_N = [{a: N.successors(t, a) for a in N.alphabet} for t in range(N.n)]
+    rel = set(rel)
+
+    def forth(s, t):
+        return all(any((s2, t2) in rel for t2 in out_N[t].get(a, ()))
+                   for a, succ in out_M[s].items() for s2 in succ)
+
+    def backward(s, t):
+        return all(any((s2, t2) in rel for s2 in out_M[s].get(a, ()))
+                   for a, succ in out_N[t].items() for t2 in succ)
+
     changed = True
     while changed:
         changed = False
-        for (s, t) in sorted(rel):
-            ok = all(any((s2, t2) in rel for t2 in N.successors(t, a))
-                     for a in M.alphabet for s2 in M.successors(s, a))
-            if not ok:
+        for (s, t) in list(rel):
+            if not forth(s, t) or (back and not backward(s, t)):
                 rel.discard((s, t))
                 changed = True
     return frozenset(rel)
+
+
+def simulation_preorder(M, N, seed=None):
+    """Greatest simulation relation (inside seed, when given): (s,t) kept iff
+    every move of s is matched from t inside the relation."""
+    return _refine(M, N, _all_pairs(M, N) if seed is None else seed)
 
 
 def similar(M, N):
@@ -42,19 +58,7 @@ def mutually_similar(M, N):
 
 
 def greatest_bisimulation(M, N):
-    rel = {(s, t) for s in range(M.n) for t in range(N.n)}
-    changed = True
-    while changed:
-        changed = False
-        for (s, t) in sorted(rel):
-            forth = all(any((s2, t2) in rel for t2 in N.successors(t, a))
-                        for a in M.alphabet for s2 in M.successors(s, a))
-            back = all(any((s2, t2) in rel for s2 in M.successors(s, a))
-                       for a in N.alphabet for t2 in N.successors(t, a))
-            if not (forth and back):
-                rel.discard((s, t))
-                changed = True
-    return frozenset(rel)
+    return _refine(M, N, _all_pairs(M, N), back=True)
 
 
 def bisimilar(M, N):
@@ -81,7 +85,7 @@ def ready_sim_equivalent(M, N):
     def ready_sim(A, B):
         seed = {(s, t) for s in range(A.n) for t in range(B.n)
                 if A.enabled(s) == B.enabled(t)}
-        return (A.root, B.root) in simulation_preorder(A, B, seed)
+        return (A.root, B.root) in _refine(A, B, seed)
     return ready_sim(M, N) and ready_sim(N, M)
 
 
@@ -108,9 +112,10 @@ def determinize(G):
     return start, table
 
 
-def trace_equivalent(M, N):
-    """Exact prefix-closed trace language equality (product reachability on
-    the determinized systems: enabled label sets must agree everywhere)."""
+def _subset_walk(M, N, key):
+    """Walk the product of the two subset constructions from the root pair;
+    False at the first subset pair whose enabled labels or key(G, subset)
+    differ."""
     sM, dM = determinize(M)
     sN, dN = determinize(N)
     seen = {(sM, sN)}
@@ -118,7 +123,7 @@ def trace_equivalent(M, N):
     while queue:
         (u, v) = queue.pop()
         ru, rv = dM[u], dN[v]
-        if set(ru) != set(rv):
+        if ru.keys() != rv.keys() or key(M, u) != key(N, v):
             return False
         for a in ru:
             nxt = (ru[a], rv[a])
@@ -126,6 +131,12 @@ def trace_equivalent(M, N):
                 seen.add(nxt)
                 queue.append(nxt)
     return True
+
+
+def trace_equivalent(M, N):
+    """Exact prefix-closed trace language equality: enabled label sets agree
+    on every reachable pair of the determinized systems."""
+    return _subset_walk(M, N, lambda G, S: None)
 
 
 def bounded_traces(G, bound):
@@ -149,32 +160,17 @@ def enabledness_equivalent(M, N):
     return M.enabled(M.root) == N.enabled(N.root)
 
 
-def _refusal_annotated(G, alphabet):
-    """Extend G with refusal self-loop markers: from each state, one edge
-    labeled ref{X} for each label set X disjoint from the enabled set."""
-    subsets = []
-    alphabet = tuple(sorted(alphabet))
-    for mask in range(1 << len(alphabet)):
-        subsets.append(frozenset(a for i, a in enumerate(alphabet)
-                                 if mask >> i & 1))
-    ref_labels = {X: "ref{%s}" % ",".join(sorted(X)) for X in subsets}
-    from .lts import FinLTS
-    sink = G.n
-    trans = set(G.transitions)
-    for s in range(G.n):
-        en = G.enabled(s)
-        for X in subsets:
-            if not (X & en):
-                trans.add((s, ref_labels[X], sink))
-    new_alpha = tuple(sorted(set(alphabet) | set(ref_labels.values())))
-    return FinLTS(G.n + 1, new_alpha, G.root, frozenset(trans))
+def _minimal_enabled(G, S):
+    """Inclusion-minimal enabled sets over the states of S: after a trace
+    reaching S, X is refused iff X misses one of them."""
+    sets = {G.enabled(s) for s in S}
+    return frozenset(e for e in sets if not any(f < e for f in sets))
 
 
 def failures_equivalent(M, N):
-    """Failure-pair equality via refusal-extended determinization."""
-    alpha = sorted(set(M.alphabet) | set(N.alphabet))
-    return trace_equivalent(_refusal_annotated(M, alpha),
-                            _refusal_annotated(N, alpha))
+    """Failure-pair equality: traces agree and, after each trace, so do the
+    minimal enabled sets, hence the refusal sets."""
+    return _subset_walk(M, N, _minimal_enabled)
 
 
 # ---------------------------------------------------------------------------

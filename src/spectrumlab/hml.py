@@ -242,13 +242,12 @@ def _tokenize(text):
         elif c in "&|!()":
             tokens.append(c)
             i += 1
-        elif c == "<":
-            j = text.index(">", i)
-            tokens.append(("dia", text[i + 1:j]))
-            i = j + 1
-        elif c == "[":
-            j = text.index("]", i)
-            tokens.append(("box", text[i + 1:j]))
+        elif c in "<[":
+            close, kind = (">", "dia") if c == "<" else ("]", "box")
+            j = text.find(close, i)
+            if j < 0:
+                raise ParseError("unclosed %r" % c)
+            tokens.append((kind, text[i + 1:j]))
             i = j + 1
         elif c in ("T", "F"):
             tokens.append(c)

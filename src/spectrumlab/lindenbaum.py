@@ -21,11 +21,6 @@ class PropTheory:
     totality_clauses: tuple    # per non-terminal state: tuple of its atoms
 
 
-def atom_name(G, atom):
-    (a, s, t) = atom
-    return "D_%s(%s,%s)" % (a, G.name_of(s), G.name_of(t))
-
-
 def labeled_theory(G):
     atoms = tuple(sorted((a, s, t) for (s, a, t) in G.transitions))
     present = set(atoms)
@@ -209,17 +204,14 @@ def symmetry_hom(G):
         induced = induced_lattice_map(G, lind, sigma)
         entries.append((sigma, induced))
     kernel = [sigma for (sigma, ind) in entries if ind == identity]
-    image = []
-    for (_, ind) in entries:
-        key = tuple(sorted(((repr(k), repr(v)) for k, v in ind.items())))
-        image.append(key)
+    image = {frozenset(ind.items()) for (_, ind) in entries}
     return {
         "lindenbaum": lind,
         "automorphisms": autos,
         "entries": entries,
         "kernel": kernel,
         "kernel_size": len(kernel),
-        "image_size": len(set(image)),
+        "image_size": len(image),
     }
 
 

@@ -111,9 +111,6 @@ class FinLTS:
             return False
         return any(color[u] == 0 and visit(u) for u in range(self.n))
 
-    def rename(self, names):
-        return FinLTS(self.n, self.alphabet, self.root, self.transitions, tuple(names))
-
 
 def make_lts(names, alphabet, root_name, edges):
     """Build a FinLTS from display names and (src, label, dst) name triples."""
@@ -393,7 +390,12 @@ def from_json(text):
         edges = [tuple(e) for e in obj["transitions"]]
     except (KeyError, TypeError) as e:
         raise ParseError("missing field: %s" % e)
-    return make_lts(names, alphabet, root, edges)
+    try:
+        return make_lts(names, alphabet, root, edges)
+    except KeyError as e:
+        raise ParseError("undeclared state: %s" % e)
+    except ValueError as e:  # e.g. a label outside the alphabet
+        raise ParseError(str(e))
 
 
 def to_json(G):

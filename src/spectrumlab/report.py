@@ -58,7 +58,7 @@ def criterion_2():
     return ("Irreducibles", rows)
 
 
-_SUBTRACTION_TABLE = (
+SUBTRACTION_TABLE = (
     ("S", "T", ("S",)),
     ("F", "T", ("F",)),
     ("B", "RS", ("B",)),
@@ -90,7 +90,7 @@ def criterion_3():
     core = sorted(L.boolean_core())
     rows.append(_eqrow("Boolean core = {E, B}", core,
                        sorted([NV["E"], NV["B"]])))
-    for (x, y, expect) in _SUBTRACTION_TABLE:
+    for (x, y, expect) in SUBTRACTION_TABLE:
         want = NV[expect[0]]
         for nm in expect[1:]:
             want = sp.vec_meet(want, NV[nm])
@@ -98,7 +98,7 @@ def criterion_3():
         rows.append(_eqrow("%s \\ %s = %s" % (x, y, "^".join(expect)),
                            sp.format_vector(got), sp.format_vector(want)))
     naive_ok = all(sp.naive_subtraction(NV[x], NV[y])[0] == 0
-                   for (x, y, _) in _SUBTRACTION_TABLE)
+                   for (x, y, _) in SUBTRACTION_TABLE)
     rows.append(_row("naive subtraction kills the depth slot on the table "
                      "pairs", naive_ok, naive_ok))
     himp = {(a, b): L.heyting(a, b)
@@ -285,19 +285,11 @@ def criterion_9():
     return ("Symmetry homomorphism", rows)
 
 
-def _path_sieve(U):
-    gens = []
-    for T in U.test_objects:
-        if tp.PATHS.accepts(T):
-            gens.extend(U.homs(T, U.base))
-    return tp.generate_sieve(U, gens)
-
-
 def criterion_10():
     rows = []
     bounds = tp.SiteBounds(2, 4)
     UF = tp.MorphismUniverse(fan(2), bounds)
-    S = _path_sieve(UF)
+    S = tp.path_sieve(UF)
     rows.append(_eqrow("path-generated sieve on fan(2) is trace-covering",
                        tp.is_covering(S, tp.PATHS, UF).covering, True))
     rows.append(_eqrow("and is not bisim-covering",
@@ -328,7 +320,7 @@ def criterion_10():
     bracket_ok = True
     for G in sample:
         U = tp.MorphismUniverse(G, bounds)
-        for S in [tp.maximal_sieve(U), _path_sieve(U),
+        for S in [tp.maximal_sieve(U), tp.path_sieve(U),
                   tp.generate_sieve(U, [])]:
             trees_c = tp.is_covering(S, tp.TREES, U).covering
             paths_c = tp.is_covering(S, tp.PATHS, U).covering

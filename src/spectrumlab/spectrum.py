@@ -127,9 +127,6 @@ class FiniteDistributiveLattice:
             out.append(x)
         return out
 
-    def downset_of_irreducibles(self, x):
-        return frozenset(j for j in self.join_irreducibles() if self.leq(j, x))
-
     def is_distributive(self):
         for a, b, c in itertools.product(self.elements, repeat=3):
             if self.meet(a, self.join(b, c)) != \

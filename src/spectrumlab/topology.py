@@ -14,7 +14,7 @@ from functools import lru_cache
 from .lts import (BudgetExceeded, FinLTS, Homomorphism, enumerate_homs,
                   enumeration_budget, fan_lts, identity_hom, is_rooted_tree,
                   max_branching, trace_lts, tree_depth)
-from .spectrum import INF, NAMED_VECTORS, format_vector
+from .spectrum import INF, format_vector
 
 MAX_TEST_OBJECTS = 400
 POOL_CAP = 10       # generator arrows considered per base in axiom checks
@@ -56,10 +56,6 @@ def energy_class(E):
     """Test trees with depth <= e1 and branching <= e2; the remaining four
     coordinates gate nothing here."""
     return ObservationClass("energy%s" % format_vector(E), E[0], E[1])
-
-
-def named_energy_classes():
-    return {name: energy_class(v) for name, v in NAMED_VECTORS.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +167,14 @@ def generate_sieve(universe, generators):
             for k in universe.homs(A, g.source):
                 arrows.add(g.compose(k))
     return Sieve(universe.base, frozenset(arrows))
+
+
+def path_sieve(universe):
+    """The sieve generated by every arrow from a path test object into the
+    base."""
+    return generate_sieve(universe, [h for T in universe.test_objects
+                                     if PATHS.accepts(T)
+                                     for h in universe.homs(T, universe.base)])
 
 
 def maximal_sieve(universe):
@@ -351,9 +355,4 @@ def density_check(G, bounds=SiteBounds()):
     """The sieve generated by all arrows from chain systems is
     paths-covering within the bounds."""
     U = MorphismUniverse(G, bounds)
-    generators = []
-    for T in U.test_objects:
-        if PATHS.accepts(T):
-            generators.extend(U.homs(T, G))
-    S = generate_sieve(U, generators)
-    return is_covering(S, PATHS, U).covering
+    return is_covering(path_sieve(U), PATHS, U).covering

@@ -1,9 +1,12 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import spectrumlab
 from spectrumlab import cli, report
 from spectrumlab.lts import catalog, to_aut, to_json
 
@@ -137,6 +140,39 @@ def test_usage_errors(capsys):
     assert code == 2 and "unknown system" in err
     code, _, err = run(capsys, "equiv", "P_abc", "Q", "--level", "nope")
     assert code == 2
+
+
+_BAD_JSON = {
+    "undeclared_state.json": [["a", "x", "zz"]],
+    "undeclared_label.json": [["a", "y", "b"]],
+}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["himp", "Q", "q0", "<a T", "<a>T"], 2),
+    (["himp", "Q", "q0", "[a T", "<a>T"], 2),
+    (["sigma", "custom", "D(x,c_zz) |- T", "Q"], 2),
+    (["equiv", "P_abc", "Q", "--level", "depth:abc"], 2),
+    (["equiv", "P_abc", "Q", "--level", "depth:"], 2),
+    (["distinguish", "Q", "P_abc", "--depth", "4"], 2),
+    (["show", "undeclared_state.json"], 2),
+    (["show", "undeclared_label.json"], 2),
+    (["lindenbaum", "fan(30)"], 3),
+])
+def test_errors_are_not_verdicts(tmp_path, argv, code):
+    # an error or an exhausted budget never reads as "property fails"
+    for name, edges in _BAD_JSON.items():
+        (tmp_path / name).write_text(json.dumps(
+            {"states": ["a", "b"], "alphabet": ["x"], "root": "a",
+             "transitions": edges}))
+    argv = [str(tmp_path / a) if a in _BAD_JSON else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(spectrumlab.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "spectrumlab.cli"] + argv,
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_cli_surface_mentions_core_operations():

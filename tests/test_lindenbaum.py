@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
 from spectrumlab import lindenbaum as lb
@@ -91,6 +95,22 @@ def test_symmetry_hom_kernel_image():
     assert two["kernel_size"] == 2 and two["image_size"] == 1
     assert lb.is_group_hom(catalog("hubSpokes"))
     assert lb.is_group_hom(catalog("twoCycle"))
+
+
+@pytest.mark.parametrize("hash_seed", ["20", "27", "30", "32"])
+def test_symmetry_hom_image_independent_of_hash_seed(hash_seed):
+    # equal lattice maps must count once whatever order their sets iterate
+    # in; under these string-hash seeds twoCycle's two automorphisms once
+    # gave two images
+    code = ("from spectrumlab import lindenbaum as lb\n"
+            "from spectrumlab.lts import catalog\n"
+            "two = lb.symmetry_hom(catalog('twoCycle'))\n"
+            "print(two['kernel_size'], two['image_size'])\n")
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=os.path.dirname(os.path.dirname(lb.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True).stdout
+    assert out.split() == ["2", "1"]
 
 
 def test_kernel_dichotomy():
