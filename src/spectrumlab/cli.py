@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Exit status: 0 when the queried property holds (or the command just prints
-data), 1 when a checked property comes out false, 2 on usage and parse
-errors, 3 when an exhaustive search exceeds its budget.
+data), 1 when a checked property comes out false, 2 on usage, parse and
+precondition errors, 3 when an exhaustive search exceeds its budget.
 """
 
 import argparse
@@ -139,11 +139,8 @@ def cmd_equiv(args):
 def cmd_distinguish(args):
     M = _load_system(args.M)
     N = _load_system(args.N)
-    try:
-        phi = hml.distinguishing_formula(M, N, fragment=args.fragment,
-                                         depth_bound=args.depth)
-    except ValueError as e:  # the depth cap
-        raise UsageError(str(e))
+    phi = hml.distinguishing_formula(M, N, fragment=args.fragment,
+                                     depth_bound=args.depth)
     if phi is None:
         _emit(args, {"formula": None}, ["no distinguishing formula "
                                         "within the bounded family"])
@@ -508,10 +505,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except (ParseError, FileNotFoundError) as e:
+    except (UsageError, ValueError, FileNotFoundError) as e:
+        # ValueError covers ParseError and every rejected precondition
         print("error: %s" % e, file=sys.stderr)
         return 2
     except BudgetExceeded as e:

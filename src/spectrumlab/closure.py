@@ -9,8 +9,8 @@ choice of disjunct in the witness construction and is rejected up front.
 import itertools
 from dataclasses import dataclass
 
-from .hml import (And, Diamond, Top, TOP, depth, in_fragment, labels_of,
-                  satisfies)
+from .hml import (And, Diamond, Top, TOP, depth, holds, in_fragment, labels_of,
+                  require_labels, satisfies)
 from .lts import (BudgetExceeded, FinLTS, Homomorphism, catalog_systems,
                   enumerate_homs)
 
@@ -23,9 +23,7 @@ def _require_fragment(phi, G=None):
     if not in_fragment(phi, FRAGMENT):
         raise ValueError("formula outside the T/&/<> fragment: %s" % phi)
     if G is not None:
-        bad = labels_of(phi) - set(G.alphabet)
-        if bad:
-            raise ValueError("unknown label(s): %s" % ",".join(sorted(bad)))
+        require_labels(G, phi)
 
 
 def diamond_count(phi):
@@ -86,7 +84,7 @@ def heyting_implication_presheaf(G, v, phi, psi):
     _require_fragment(phi, G)
     _require_fragment(psi, G)
     fe = free_extension(G, v, phi)
-    return satisfies(fe.extended, fe.inclusion(v), psi)
+    return holds(fe.extended, fe.inclusion(v), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -154,15 +152,17 @@ def brute_force_implication(G, v, phi, psi, size_bound):
     _require_fragment(phi, G)
     _require_fragment(psi, G)
     if G.n > MAX_BRUTE_STATES:
-        raise BudgetExceeded("base too large for the exhaustive oracle")
+        raise BudgetExceeded("exhaustive oracle", G.n, "base states",
+                             MAX_BRUTE_STATES)
     max_states = size_bound + diamond_count(phi)
+    # every realization shares G's alphabet, which psi was checked against
     for blocks in _partitions(list(range(G.n))):
         if len(blocks) > size_bound:
             continue
         H0, cls = _quotient_by(G, blocks)
         anchor = cls[v]
         for H in _realizations(H0, anchor, phi, max_states):
-            if not satisfies(H, anchor, psi):
+            if not holds(H, anchor, psi):
                 return False
     return True
 

@@ -21,17 +21,17 @@ def _all_pairs(M, N):
 def _refine(M, N, rel, back=False):
     """Greatest relation inside rel where every move of s is matched from t
     inside the relation (and, with back, every move of t from s)."""
-    out_M = [{a: M.successors(s, a) for a in M.alphabet} for s in range(M.n)]
-    out_N = [{a: N.successors(t, a) for a in N.alphabet} for t in range(N.n)]
     rel = set(rel)
 
     def forth(s, t):
-        return all(any((s2, t2) in rel for t2 in out_N[t].get(a, ()))
-                   for a, succ in out_M[s].items() for s2 in succ)
+        nt = N.moves(t)
+        return all(any((s2, t2) in rel for t2 in nt.get(a, ()))
+                   for a, succ in M.moves(s).items() for s2 in succ)
 
     def backward(s, t):
-        return all(any((s2, t2) in rel for s2 in out_M[s].get(a, ()))
-                   for a, succ in out_N[t].items() for t2 in succ)
+        ms = M.moves(s)
+        return all(any((s2, t2) in rel for s2 in ms.get(a, ()))
+                   for a, succ in N.moves(t).items() for t2 in succ)
 
     changed = True
     while changed:
@@ -71,9 +71,10 @@ def bisimilar(M, N):
     frontier = [(M.root, N.root)]
     while frontier:
         (s, t) = frontier.pop()
-        for a in M.alphabet:
-            for s2 in M.successors(s, a):
-                for t2 in N.successors(t, a):
+        nt = N.moves(t)
+        for a, succ in M.moves(s).items():
+            for s2 in succ:
+                for t2 in nt.get(a, ()):
                     if (s2, t2) in gb and (s2, t2) not in seen:
                         seen.add((s2, t2))
                         frontier.append((s2, t2))
@@ -104,7 +105,7 @@ def determinize(G):
             continue
         row = {}
         for a in G.alphabet:
-            nxt = frozenset(t for s in cur for t in G.successors(s, a))
+            nxt = frozenset(t for s in cur for t in G.moves(s).get(a, ()))
             if nxt:
                 row[a] = nxt
                 queue.append(nxt)
@@ -186,8 +187,9 @@ def d_simulates(M, N, d):
         key = (s, t, k)
         if key not in memo:
             memo[key] = True  # guard; no cycles since k strictly decreases
-            memo[key] = all(any(sim(s2, t2, k - 1) for t2 in N.successors(t, a))
-                            for a in M.alphabet for s2 in M.successors(s, a))
+            nt = N.moves(t)
+            memo[key] = all(any(sim(s2, t2, k - 1) for t2 in nt.get(a, ()))
+                            for a, succ in M.moves(s).items() for s2 in succ)
         return memo[key]
     return sim(M.root, N.root, d)
 
@@ -212,12 +214,15 @@ class SimPair:
 def _pair_search(M, N, coherent, tag, budget=None):
     if budget is None:
         budget = enumeration_budget()
-    if N.n ** M.n > budget or M.n ** N.n > budget:
-        raise BudgetExceeded("function-pair search budget exceeded")
+    maps = max(N.n ** M.n, M.n ** N.n)
+    if maps > budget:
+        raise BudgetExceeded("function-pair search", maps, "candidate maps",
+                             budget)
     fwd = enumerate_homs(M, N, budget)
     bwd = enumerate_homs(N, M, budget)
     if len(fwd) * len(bwd) > budget:
-        raise BudgetExceeded("function-pair search budget exceeded")
+        raise BudgetExceeded("function-pair search", len(fwd) * len(bwd),
+                             "hom pairs", budget)
     for f in fwd:
         for g in bwd:
             if coherent(M, N, f, g):

@@ -186,7 +186,8 @@ def eval_sequent(G, sigma, budget=None):
         budget = enumeration_budget()
     k = len(sigma.context)
     if G.n ** k > budget:
-        raise BudgetExceeded("assignment enumeration budget exceeded")
+        raise BudgetExceeded("sequent evaluation", G.n ** k, "assignments",
+                             budget)
     for values in itertools.product(range(G.n), repeat=k):
         env = dict(zip(sigma.context, values))
         if eval_formula(G, sigma.antecedent, env):
@@ -250,8 +251,9 @@ def generate_theory(M):
             Sequent(("x",), Atom("D", Const(M.name_of(s)), x), cons))
     negative = []
     for s in range(M.n):
+        reach = reachable_from(M, s)
         for t in range(M.n):
-            if t not in reachable_from(M, s):
+            if t not in reach:
                 negative.append(Sequent(
                     (), Atom("G", Const(M.name_of(s)), Const(M.name_of(t))), BOT))
             if not path_equivalent(M, s, t):

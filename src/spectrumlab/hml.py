@@ -3,6 +3,7 @@ distinguishing formulas, tree unraveling, and the bounded invariance suites."""
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 from .lts import FinLTS, Homomorphism, ParseError, catalog, is_rooted_tree
 
@@ -143,28 +144,35 @@ def fragment_of(phi):
 # satisfaction
 
 
-def satisfies(G, s, phi):
+def require_labels(G, phi):
+    """Reject a formula that names a label outside G's alphabet."""
     bad = labels_of(phi) - set(G.alphabet)
     if bad:
         raise ValueError("unknown label(s): %s" % ",".join(sorted(bad)))
-    return _sat(G, s, phi)
 
 
-def _sat(G, s, phi):
+def satisfies(G, s, phi):
+    require_labels(G, phi)
+    return holds(G, s, phi)
+
+
+def holds(G, s, phi):
+    """Satisfaction without the label check: a label outside the alphabet
+    has no moves."""
     if isinstance(phi, Top):
         return True
     if isinstance(phi, Bot):
         return False
     if isinstance(phi, And):
-        return _sat(G, s, phi.left) and _sat(G, s, phi.right)
+        return holds(G, s, phi.left) and holds(G, s, phi.right)
     if isinstance(phi, Or):
-        return _sat(G, s, phi.left) or _sat(G, s, phi.right)
+        return holds(G, s, phi.left) or holds(G, s, phi.right)
     if isinstance(phi, Diamond):
-        return any(_sat(G, t, phi.body) for t in G.successors(s, phi.label))
+        return any(holds(G, t, phi.body) for t in G.moves(s).get(phi.label, ()))
     if isinstance(phi, Box):
-        return all(_sat(G, t, phi.body) for t in G.successors(s, phi.label))
+        return all(holds(G, t, phi.body) for t in G.moves(s).get(phi.label, ()))
     if isinstance(phi, Neg):
-        return not _sat(G, s, phi.body)
+        return not holds(G, s, phi.body)
     raise TypeError(phi)
 
 
@@ -285,12 +293,7 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
         inabilities = []
 
     def conj_of(parts):
-        if not parts:
-            return TOP
-        out = parts[0]
-        for p in parts[1:]:
-            out = And(out, p)
-        return out
+        return reduce(And, parts) if parts else TOP
 
     for d in range(1, max_depth + 1):
         pool = [t for k in range(0, d) for t in terms_by_depth[k]]
@@ -332,10 +335,10 @@ def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2,
     if depth_bound > 3:
         raise ValueError("depth bound capped at 3")
     alphabet = sorted(set(M.alphabet) | set(N.alphabet))
+    shared = set(M.alphabet) & set(N.alphabet)
     for phi in canonical_formulas(alphabet, depth_bound, fragment, max_conj):
-        if labels_of(phi) - set(M.alphabet) or labels_of(phi) - set(N.alphabet):
-            continue
-        if satisfies(M, M.root, phi) and not satisfies(N, N.root, phi):
+        if (labels_of(phi) <= shared and holds(M, M.root, phi)
+                and not holds(N, N.root, phi)):
             return phi
     return None
 
@@ -369,9 +372,8 @@ def tree_unravel(G, v, d):
         nxt = []
         for p in frontier:
             (_, last) = p[-1]
-            for (s, a, t) in sorted(G.transitions):
-                if s == last:
-                    nxt.append(p + ((a, t),))
+            for (a, t) in _sorted_moves(G, last):
+                nxt.append(p + ((a, t),))
         paths.extend(nxt)
         frontier = nxt
 
@@ -396,6 +398,11 @@ def tree_unravel(G, v, d):
     projection = Homomorphism(tree, _rerooted(G, v),
                               tuple(p[-1][1] for p in paths))
     return tree, projection
+
+
+def _sorted_moves(G, s):
+    """The (label, successor) pairs of s in transition order."""
+    return sorted((a, t) for a, succ in G.moves(s).items() for t in succ)
 
 
 def _rerooted(G, v):
@@ -428,18 +435,13 @@ def characteristic_formula(T, v, d):
         raise ValueError("input is not a rooted tree")
 
     def build(u, k):
-        children = sorted((a, t) for (s, a, t) in T.transitions if s == u)
+        children = _sorted_moves(T, u)
         if k == 0 or not children:
             return TOP
         parts = [Diamond(a, build(t, k - 1)) for (a, t) in children]
-        conj = parts[0]
-        for p in parts[1:]:
-            conj = And(conj, p)
+        conj = reduce(And, parts)
         if len(parts) > 1:
-            cover = parts[0]
-            for p in parts[1:]:
-                cover = Or(cover, p)
-            conj = And(conj, cover)
+            conj = And(conj, reduce(Or, parts))
         return conj
 
     return build(v, d)

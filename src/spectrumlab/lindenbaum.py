@@ -26,19 +26,18 @@ def labeled_theory(G):
     present = set(atoms)
     forced = tuple(sorted((a, s, t) for s in range(G.n) for t in range(G.n)
                           for a in G.alphabet if (a, s, t) not in present))
-    clauses = []
-    for s in range(G.n):
-        outgoing = tuple(sorted(at for at in atoms if at[1] == s))
-        if outgoing:
-            clauses.append(outgoing)
-    return PropTheory(atoms, forced, tuple(clauses))
+    clauses = tuple(tuple(sorted((a, s, t) for a, succ in G.moves(s).items()
+                                 for t in succ))
+                    for s in range(G.n) if G.moves(s))
+    return PropTheory(atoms, forced, clauses)
 
 
 def enumerate_models(theory):
     """All satisfying valuations, as frozensets of true free atoms."""
     free = theory.atoms
     if len(free) > MAX_FREE_ATOMS:
-        raise BudgetExceeded("too many free atoms: %d" % len(free))
+        raise BudgetExceeded("model enumeration", len(free), "free atoms",
+                             MAX_FREE_ATOMS)
     models = []
     for mask in range(1 << len(free)):
         val = frozenset(at for i, at in enumerate(free) if mask >> i & 1)
@@ -93,7 +92,8 @@ def enumerate_nuclei(L):
     """All inflationary idempotent meet-preserving self-maps.  Brute force
     over monotone inflationary maps (backtracking), then law filtering."""
     if len(L.elements) > MAX_NUCLEUS_LATTICE:
-        raise BudgetExceeded("lattice too large for nucleus enumeration")
+        raise BudgetExceeded("nucleus enumeration", len(L.elements),
+                             "lattice elements", MAX_NUCLEUS_LATTICE)
     order = sorted(L.elements, key=L._key)
     upsets = {x: [y for y in order if L.leq(x, y)] for x in order}
     maps = []
@@ -140,20 +140,20 @@ def automorphisms(G, labeled=True, fix_root=False):
     relation, label-preserving when labeled=True).  The root is not required
     to be fixed unless fix_root is set."""
     if G.n > MAX_AUT_STATES:
-        raise BudgetExceeded("too many states for automorphism search")
+        raise BudgetExceeded("automorphism search", G.n, "states",
+                             MAX_AUT_STATES)
 
     if labeled:
-        edges = set(G.transitions)
+        edges = G.transitions
         def edge_sig(s):
-            return (tuple(sorted(a for (u, a, t) in edges if u == s)),
-                    tuple(sorted(a for (u, a, t) in edges if t == s)))
+            return tuple((len(G.successors(s, a)), len(G.predecessors(s, a)))
+                         for a in G.alphabet)
         def respects(p):
             return all((p[s], a, p[t]) in edges for (s, a, t) in edges)
     else:
         edges = {(s, t) for (s, a, t) in G.transitions}
         def edge_sig(s):
-            return (len({t for (u, t) in edges if u == s}),
-                    len({u for (u, t) in edges if t == s}))
+            return (len(G.successors(s)), len(G.predecessors(s)))
         def respects(p):
             return all((p[s], p[t]) in edges for (s, t) in edges)
 

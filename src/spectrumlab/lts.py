@@ -9,6 +9,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 STAR = "*"
 
@@ -29,7 +30,10 @@ class ParseError(ValueError):
 
 class BudgetExceeded(RuntimeError):
     """Raised when an exhaustive search hits its budget (distinct from a
-    negative answer)."""
+    negative answer), naming the search, the amount it needed and the limit."""
+
+    def __init__(self, operation, used, unit, limit):
+        super().__init__("%s: %d %s, limit %d" % (operation, used, unit, limit))
 
 
 @dataclass(frozen=True)
@@ -66,50 +70,86 @@ class FinLTS:
                 return i
         raise KeyError(name)
 
-    # -- structure queries ---------------------------------------------
+    # -- structure queries, read from an index built on first use.  Labels
+    # are never compared (they need not be of one type), so no caller may
+    # depend on the order of labels in a row. --------------------------------
+
+    @cached_property
+    def _out(self):
+        """Per state: label -> sorted list of successors."""
+        return _adjacency(self.n, self.transitions)
+
+    @cached_property
+    def _in(self):
+        """Per state: label -> sorted list of predecessors."""
+        return _adjacency(self.n, ((t, a, s) for (s, a, t) in self.transitions))
+
+    @cached_property
+    def _reach_memo(self):
+        return {}
+
+    def _reach(self, s, back=False):
+        """Frozen reflexive-transitive reach set of s (co-reach with back),
+        computed once per state."""
+        memo = self._reach_memo
+        if (s, back) not in memo:
+            step = self.predecessors if back else self.successors
+            seen, frontier = {s}, [s]
+            while frontier:
+                for v in step(frontier.pop()):
+                    if v not in seen:
+                        seen.add(v)
+                        frontier.append(v)
+            memo[(s, back)] = frozenset(seen)
+        return memo[(s, back)]
+
+    def moves(self, s):
+        """label -> sorted list of the a-successors of s, for each enabled
+        label a.  Shared with the index: read it, never mutate it."""
+        return self._out[s]
 
     def successors(self, s, label=None):
         if label is None:
-            return sorted({t for (u, a, t) in self.transitions if u == s})
-        return sorted({t for (u, a, t) in self.transitions if u == s and a == label})
+            return sorted({t for succ in self._out[s].values() for t in succ})
+        return list(self._out[s].get(label, ()))
 
     def predecessors(self, s, label=None):
         if label is None:
-            return sorted({u for (u, a, t) in self.transitions if t == s})
-        return sorted({u for (u, a, t) in self.transitions if t == s and a == label})
+            return sorted({u for pred in self._in[s].values() for u in pred})
+        return list(self._in[s].get(label, ()))
 
     def enabled(self, s):
-        return frozenset(a for (u, a, t) in self.transitions if u == s)
+        return frozenset(self._out[s])
 
     def has_edge(self, s, t, label=None):
         if label is None:
-            return any(u == s and v == t for (u, a, v) in self.transitions)
+            return any(t in succ for succ in self._out[s].values())
         return (s, label, t) in self.transitions
 
     def is_deterministic_state(self, s):
-        seen = set()
-        for (u, a, t) in self.transitions:
-            if u == s:
-                if (a in seen):
-                    return False
-                seen.add(a)
-        return True
+        return all(len(succ) == 1 for succ in self._out[s].values())
 
     def nondeterministic_states(self):
         return [s for s in range(self.n) if not self.is_deterministic_state(s)]
 
     def has_cycle(self):
-        color = [0] * self.n
-        def visit(u):
-            color[u] = 1
-            for v in self.successors(u):
-                if color[v] == 1:
-                    return True
-                if color[v] == 0 and visit(v):
-                    return True
-            color[u] = 2
-            return False
-        return any(color[u] == 0 and visit(u) for u in range(self.n))
+        return self._cyclic
+
+    @cached_property
+    def _cyclic(self):
+        """Some edge s -> t leads back: s is reachable from t."""
+        return any(s in self._reach(t)
+                   for s in range(self.n) for t in self.successors(s))
+
+
+def _adjacency(n, triples):
+    rows = [{} for _ in range(n)]
+    for (s, a, t) in triples:
+        rows[s].setdefault(a, []).append(t)
+    for row in rows:
+        for succ in row.values():
+            succ.sort()
+    return rows
 
 
 def make_lts(names, alphabet, root_name, edges):
@@ -130,27 +170,11 @@ def unlabeled(names, root_name, pairs):
 
 def reachable_from(G, s):
     """Reflexive-transitive closure image of s under the unlabeled step."""
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        u = frontier.pop()
-        for v in G.successors(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
+    return set(G._reach(s))
 
 
 def coreachable_to(G, s):
-    seen = {s}
-    frontier = [s]
-    while frontier:
-        u = frontier.pop()
-        for v in G.predecessors(u):
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return seen
+    return set(G._reach(s, back=True))
 
 
 def reachable_states(G):
@@ -159,18 +183,15 @@ def reachable_states(G):
 
 def path_equivalence_classes(G):
     """Partition by (forward reach set, backward reach set)."""
-    key = {}
-    for s in range(G.n):
-        key[s] = (frozenset(reachable_from(G, s)), frozenset(coreachable_to(G, s)))
     classes = {}
     for s in range(G.n):
-        classes.setdefault(key[s], []).append(s)
+        classes.setdefault((G._reach(s), G._reach(s, back=True)), []).append(s)
     return sorted(classes.values())
 
 
 def path_equivalent(G, s, t):
-    return (reachable_from(G, s) == reachable_from(G, t)
-            and coreachable_to(G, s) == coreachable_to(G, t))
+    return (G._reach(s) == G._reach(t)
+            and G._reach(s, back=True) == G._reach(t, back=True))
 
 
 def quotient(G):
@@ -224,38 +245,27 @@ def enumerate_homs(T, G, budget=None):
     if budget is None:
         budget = enumeration_budget()
     # order: BFS from the root, then any leftover states
-    order = []
-    seen = set()
-    queue = [T.root]
-    seen.add(T.root)
-    while queue:
-        u = queue.pop(0)
-        order.append(u)
+    order, seen = [T.root], {T.root}
+    for u in order:
         for v in T.successors(u):
             if v not in seen:
                 seen.add(v)
-                queue.append(v)
-    for s in range(T.n):
-        if s not in seen:
-            order.append(s)
+                order.append(v)
+    order += [s for s in range(T.n) if s not in seen]
 
-    out_edges = {}
-    for (s, a, t) in T.transitions:
-        out_edges.setdefault(s, []).append((a, t))
-
-    pos = {s: i for i, s in enumerate(order)}
     results = []
     assignment = {}
     counter = [0]
 
     def consistent(s, g):
-        for (a, t) in out_edges.get(s, ()):
-            img = g if t == s else assignment.get(t)
-            if img is not None and (g, a, img) not in G.transitions:
-                return False
-        for (u, a, v) in T.transitions:
-            if v == s and u != s:
-                img = assignment.get(u)
+        for a, succ in T.moves(s).items():
+            for t in succ:
+                img = g if t == s else assignment.get(t)
+                if img is not None and (g, a, img) not in G.transitions:
+                    return False
+        for a, pred in T._in[s].items():
+            for u in pred:
+                img = None if u == s else assignment.get(u)
                 if img is not None and (img, a, g) not in G.transitions:
                     return False
         return True
@@ -269,7 +279,8 @@ def enumerate_homs(T, G, budget=None):
         for g in candidates:
             counter[0] += 1
             if counter[0] > budget:
-                raise BudgetExceeded("hom enumeration budget exceeded")
+                raise BudgetExceeded("hom enumeration", counter[0],
+                                     "candidates", budget)
             if consistent(s, g):
                 assignment[s] = g
                 rec(k + 1)
@@ -301,21 +312,14 @@ def iso_check(G, H):
 
 def is_rooted_tree(G):
     """Every state reachable from the root via a unique parent, no cycles."""
-    if G.n == 0:
-        return False
-    parents = {G.root: None}
-    queue = [G.root]
-    edges = 0
-    while queue:
-        u = queue.pop(0)
-        for (s, a, t) in sorted(G.transitions):
-            if s == u:
-                edges += 1
-                if t in parents:
-                    return False
-                parents[t] = u
-                queue.append(t)
-    return len(parents) == G.n and edges == len(G.transitions)
+    seen, stack = {G.root}, [G.root]
+    while stack:  # every state is pushed once, so every edge is read once
+        for succ in G.moves(stack.pop()).values():
+            if not seen.isdisjoint(succ):
+                return False
+            seen.update(succ)
+            stack.extend(succ)
+    return len(seen) == G.n
 
 
 def tree_depth(G):
@@ -328,10 +332,7 @@ def tree_depth(G):
 
 
 def max_branching(G):
-    counts = {}
-    for (s, a, t) in G.transitions:
-        counts[s] = counts.get(s, 0) + 1
-    return max(counts.values()) if counts else 0
+    return max(sum(map(len, row.values())) for row in G._out)
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +391,11 @@ def from_json(text):
         edges = [tuple(e) for e in obj["transitions"]]
     except (KeyError, TypeError) as e:
         raise ParseError("missing field: %s" % e)
+    # formulas and .aut files name states and labels by text; other JSON
+    # values (numbers, lists, null) would reach comparisons and dict keys
+    if not all(isinstance(x, str) for x in
+               itertools.chain(names, alphabet, [root], *edges)):
+        raise ParseError("states and labels must be strings")
     try:
         return make_lts(names, alphabet, root, edges)
     except KeyError as e:

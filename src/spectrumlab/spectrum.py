@@ -96,36 +96,21 @@ class FiniteDistributiveLattice:
         return out
 
     def join_irreducibles(self):
+        """Non-bottom elements that are not the join of all the elements
+        strictly below them (so not the join of any two of them)."""
         if not hasattr(self, "_ji"):
-            self._ji = self._join_irreducibles()
+            self._ji = [x for x in self.elements if x != self.bottom and reduce(
+                self.join, (a for a in self.elements if self.lt(a, x)),
+                self.bottom) != x]
         return self._ji
 
-    def _join_irreducibles(self):
-        out = []
-        for x in self.elements:
-            if x == self.bottom:
-                continue
-            if any(self.lt(a, x) and self.lt(b, x) and self.join(a, b) == x
-                   for a in self.elements for b in self.elements):
-                continue
-            out.append(x)
-        return out
-
     def meet_irreducibles(self):
+        """Dually: non-top elements not the meet of all elements above."""
         if not hasattr(self, "_mi"):
-            self._mi = self._meet_irreducibles()
+            self._mi = [x for x in self.elements if x != self.top and reduce(
+                self.meet, (a for a in self.elements if self.lt(x, a)),
+                self.top) != x]
         return self._mi
-
-    def _meet_irreducibles(self):
-        out = []
-        for x in self.elements:
-            if x == self.top:
-                continue
-            if any(self.lt(x, a) and self.lt(x, b) and self.meet(a, b) == x
-                   for a in self.elements for b in self.elements):
-                continue
-            out.append(x)
-        return out
 
     def is_distributive(self):
         for a, b, c in itertools.product(self.elements, repeat=3):

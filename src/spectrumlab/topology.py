@@ -109,7 +109,8 @@ def test_objects(alphabet, bounds):
     terms = _tree_terms(tuple(alphabet), bounds.max_test_depth,
                         bounds.max_test_size)
     if len(terms) > MAX_TEST_OBJECTS:
-        raise BudgetExceeded("test-object universe too large: %d" % len(terms))
+        raise BudgetExceeded("test-object enumeration", len(terms), "trees",
+                             MAX_TEST_OBJECTS)
     trees = [_term_to_lts(t, tuple(alphabet)) for t in terms]
     return sorted(trees, key=lambda T: (T.n, sorted(T.transitions)))
 

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -142,6 +143,13 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
+# used and limit: 30 free atoms (24), 12 states (10), 10 base states (8)
+_BUDGET_NUMBERS = {
+    ("lindenbaum", "fan(30)"): (30, 24),
+    ("lindenbaum", "pathDigraph(11)", "--symmetry"): (12, 10),
+    ("himp", "pathDigraph(9)", "0", "<*>T", "<*>T"): (10, 8),
+}
+
 _BAD_JSON = {
     "undeclared_state.json": [["a", "x", "zz"]],
     "undeclared_label.json": [["a", "y", "b"]],
@@ -158,6 +166,8 @@ _BAD_JSON = {
     (["show", "undeclared_state.json"], 2),
     (["show", "undeclared_label.json"], 2),
     (["lindenbaum", "fan(30)"], 3),
+    (["lindenbaum", "pathDigraph(11)", "--symmetry"], 3),
+    (["himp", "pathDigraph(9)", "0", "<*>T", "<*>T"], 3),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"
@@ -173,6 +183,9 @@ def test_errors_are_not_verdicts(tmp_path, argv, code):
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    # an exhausted budget says how much was asked for, and the limit
+    for number in _BUDGET_NUMBERS.get(tuple(argv), ()):
+        assert re.search(r"\b%d\b" % number, proc.stderr), number
 
 
 def test_cli_surface_mentions_core_operations():

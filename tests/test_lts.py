@@ -1,12 +1,17 @@
+import itertools
+import random
+
 import pytest
 
+from spectrumlab import hml
 from spectrumlab.lts import (FinLTS, Homomorphism, ParseError, catalog,
-                             catalog_names, catalog_systems, enumerate_homs,
-                             fan, fan_lts, from_json, identity_hom, iso_check,
-                             is_rooted_tree, make_lts, max_branching,
-                             parse_aut, path_digraph, path_equivalent,
-                             quotient, reachable_from, to_aut, to_json,
-                             trace_lts, tree_depth, unlabeled)
+                             catalog_names, catalog_systems, coreachable_to,
+                             enumerate_homs, fan, fan_lts, from_json,
+                             identity_hom, iso_check, is_rooted_tree,
+                             make_lts, max_branching, parse_aut, path_digraph,
+                             path_equivalent, quotient, reachable_from,
+                             to_aut, to_json, trace_lts, tree_depth,
+                             unlabeled)
 
 
 def test_validation():
@@ -131,3 +136,237 @@ def test_make_lts_names():
     assert G.state("t") == 1
     with pytest.raises(KeyError):
         G.state("zz")
+
+
+# ---------------------------------------------------------------------------
+# The scanning versions of the structure queries, as they were before FinLTS
+# kept an index (method bodies verbatim, `self` is the system): the oracles
+# for the indexed ones.
+
+
+def _successors(self, s, label=None):
+    if label is None:
+        return sorted({t for (u, a, t) in self.transitions if u == s})
+    return sorted({t for (u, a, t) in self.transitions if u == s and a == label})
+
+
+def _predecessors(self, s, label=None):
+    if label is None:
+        return sorted({u for (u, a, t) in self.transitions if t == s})
+    return sorted({u for (u, a, t) in self.transitions if t == s and a == label})
+
+
+def _enabled(self, s):
+    return frozenset(a for (u, a, t) in self.transitions if u == s)
+
+
+def _has_edge(self, s, t, label=None):
+    if label is None:
+        return any(u == s and v == t for (u, a, v) in self.transitions)
+    return (s, label, t) in self.transitions
+
+
+def _is_deterministic_state(self, s):
+    seen = set()
+    for (u, a, t) in self.transitions:
+        if u == s:
+            if (a in seen):
+                return False
+            seen.add(a)
+    return True
+
+
+def _has_cycle(self):
+    color = [0] * self.n
+    def visit(u):
+        color[u] = 1
+        for v in _successors(self, u):
+            if color[v] == 1:
+                return True
+            if color[v] == 0 and visit(v):
+                return True
+        color[u] = 2
+        return False
+    return any(color[u] == 0 and visit(u) for u in range(self.n))
+
+
+def _is_rooted_tree(G):
+    """Every state reachable from the root via a unique parent, no cycles."""
+    if G.n == 0:
+        return False
+    parents = {G.root: None}
+    queue = [G.root]
+    edges = 0
+    while queue:
+        u = queue.pop(0)
+        for (s, a, t) in sorted(G.transitions):
+            if s == u:
+                edges += 1
+                if t in parents:
+                    return False
+                parents[t] = u
+                queue.append(t)
+    return len(parents) == G.n and edges == len(G.transitions)
+
+
+def _max_branching(G):
+    counts = {}
+    for (s, a, t) in G.transitions:
+        counts[s] = counts.get(s, 0) + 1
+    return max(counts.values()) if counts else 0
+
+
+def _reachable_from(G, s):
+    """Reflexive-transitive closure image of s under the unlabeled step."""
+    seen = {s}
+    frontier = [s]
+    while frontier:
+        u = frontier.pop()
+        for v in _successors(G, u):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
+def _coreachable_to(G, s):
+    seen = {s}
+    frontier = [s]
+    while frontier:
+        u = frontier.pop()
+        for v in _predecessors(G, u):
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return seen
+
+
+def _random_system(rng):
+    """Up to 6 states over 1-3 labels.  Dense draws give self-loops and
+    nondeterminism, sparse ones unreachable states and states with no
+    moves; one draw in four is a random tree, so that the tree predicate
+    is exercised on both answers."""
+    n = rng.randint(1, 6)
+    alphabet = ("a", "b", "c")[:rng.randint(1, 3)]
+    if rng.random() < 0.25:
+        order = list(range(n))
+        rng.shuffle(order)
+        trans = {(order[rng.randrange(i)], rng.choice(alphabet), order[i])
+                 for i in range(1, n)}
+        return FinLTS(n, alphabet, order[0], frozenset(trans))
+    p = rng.choice((0.05, 0.15, 0.3, 0.6))
+    trans = {(s, a, t) for s in range(n) for a in alphabet for t in range(n)
+             if rng.random() < p}
+    return FinLTS(n, alphabet, rng.randrange(n), frozenset(trans))
+
+
+def test_index_matches_scanning_oracles():
+    rng = random.Random(20261018)
+    seen = {"tree": 0, "not tree": 0, "self-loop": 0, "no moves": 0,
+            "unreachable": 0, "nondeterministic": 0}
+    for _ in range(600):
+        G = _random_system(rng)
+        labels = G.alphabet + ("z",)  # "z" is outside every alphabet
+        for s in range(G.n):
+            assert G.successors(s) == _successors(G, s)
+            assert G.predecessors(s) == _predecessors(G, s)
+            for a in labels:
+                assert G.successors(s, a) == _successors(G, s, a)
+                assert G.predecessors(s, a) == _predecessors(G, s, a)
+            assert G.enabled(s) == _enabled(G, s)
+            assert type(G.enabled(s)) is frozenset
+            assert G.is_deterministic_state(s) == _is_deterministic_state(G, s)
+            for t in range(G.n):
+                assert G.has_edge(s, t) == _has_edge(G, s, t)
+                for a in labels:
+                    assert G.has_edge(s, t, a) == _has_edge(G, s, t, a)
+            assert reachable_from(G, s) == _reachable_from(G, s)
+            assert coreachable_to(G, s) == _coreachable_to(G, s)
+            assert type(reachable_from(G, s)) is set
+            for t in range(G.n):
+                assert path_equivalent(G, s, t) == (
+                    _reachable_from(G, s) == _reachable_from(G, t)
+                    and _coreachable_to(G, s) == _coreachable_to(G, t))
+            seen["self-loop"] += G.has_edge(s, s)
+            seen["no moves"] += not G.enabled(s)
+            seen["nondeterministic"] += not G.is_deterministic_state(s)
+        seen["unreachable"] += len(_reachable_from(G, G.root)) < G.n
+        assert G.has_cycle() == _has_cycle(G)
+        assert max_branching(G) == _max_branching(G)
+        assert is_rooted_tree(G) == _is_rooted_tree(G)
+        seen["tree" if _is_rooted_tree(G) else "not tree"] += 1
+    assert all(seen.values()), seen
+
+
+def test_reach_memo_is_not_shared_with_callers():
+    G = catalog("fork")
+    reachable_from(G, G.root).add(99)
+    coreachable_to(G, G.root).add(99)
+    assert reachable_from(G, G.root) == {0, 1, 2}
+    assert coreachable_to(G, G.root) == {0}
+    G.successors(G.root).append(99)
+    assert G.successors(G.root) == [1, 2]
+
+
+def test_enumerate_homs_matches_brute_force():
+    rng = random.Random(4)
+    found = 0
+    for _ in range(300):
+        T, G = _random_system(rng), _random_system(rng)
+        if T.n > 4 or G.n > 4 or set(T.alphabet) - set(G.alphabet):
+            continue
+        want = [m for m in itertools.product(range(G.n), repeat=T.n)
+                if Homomorphism(T, G, m).is_valid()]
+        got = enumerate_homs(T, G)
+        assert [h.mapping for h in got] == want
+        assert all(h.source == T and h.target == G for h in got)
+        found += bool(want)
+    assert found >= 20
+
+
+def _tree_unravel(G, v, d):
+    """The per-path scan of the tree unraveling, as it was before the
+    index."""
+    paths = [((None, v),)]  # a path is a tuple of (incoming label, state)
+    frontier = [((None, v),)]
+    for _ in range(d):
+        nxt = []
+        for p in frontier:
+            (_, last) = p[-1]
+            for (s, a, t) in sorted(G.transitions):
+                if s == last:
+                    nxt.append(p + ((a, t),))
+        paths.extend(nxt)
+        frontier = nxt
+
+    index = {p: i for i, p in enumerate(paths)}
+    edges = set()
+    for p in paths:
+        if len(p) > 1:
+            (a, _) = p[-1]
+            edges.add((index[p[:-1]], a, index[p]))
+
+    names = []
+    for p in paths:
+        if len(p) == 1:
+            names.append("ε")  # root path
+        else:
+            names.append("".join(G.name_of(t) for (_, t) in p[1:]))
+    if len(set(names)) != len(names):  # disambiguate off-catalog collisions
+        names = [nm if names.count(nm) == 1 else "%s#%d" % (nm, i)
+                 for i, nm in enumerate(names)]
+
+    tree = FinLTS(len(paths), G.alphabet, 0, frozenset(edges), tuple(names))
+    projection = Homomorphism(tree, hml._rerooted(G, v),
+                              tuple(p[-1][1] for p in paths))
+    return tree, projection
+
+
+def test_tree_unravel_matches_per_path_scan():
+    for name, G in sorted(catalog_systems().items()):
+        for v in range(G.n):
+            for d in range(4):
+                tree, proj = hml.tree_unravel(G, v, d)
+                want_tree, want_proj = _tree_unravel(G, v, d)
+                assert tree == want_tree and tree.names == want_tree.names
+                assert proj == want_proj

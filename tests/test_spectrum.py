@@ -1,6 +1,9 @@
 import itertools
+import random
 
+from spectrumlab import lindenbaum as lb
 from spectrumlab import spectrum as sp
+from spectrumlab.lts import catalog_systems
 
 
 def L30():
@@ -127,3 +130,54 @@ def test_automorphisms_identity_present():
     D = sp.downset_lattice(named[:4], sp.vec_leq)
     autos = D.automorphisms()
     assert {x: x for x in D.elements} in autos
+
+
+# The O(|L|^3) pair scans the irreducibles were computed with before: the
+# oracles for the below-join / above-meet test.
+
+
+def _join_irreducibles(self):
+    out = []
+    for x in self.elements:
+        if x == self.bottom:
+            continue
+        if any(self.lt(a, x) and self.lt(b, x) and self.join(a, b) == x
+               for a in self.elements for b in self.elements):
+            continue
+        out.append(x)
+    return out
+
+
+def _meet_irreducibles(self):
+    out = []
+    for x in self.elements:
+        if x == self.top:
+            continue
+        if any(self.lt(x, a) and self.lt(x, b) and self.meet(a, b) == x
+               for a in self.elements for b in self.elements):
+            continue
+        out.append(x)
+    return out
+
+
+def _irreducible_cases():
+    yield "spectrum", L30()[0]
+    for name, G in sorted(catalog_systems().items()):
+        if name != "U":  # 1608 elements: too large for the cubic scan
+            yield name, lb.lindenbaum(G).lattice
+    rng = random.Random(7)
+    for k in range(12):
+        # a random poset: subsets of a 4-set under inclusion
+        poset = {frozenset(x for x in range(4) if rng.random() < 0.5)
+                 for _ in range(rng.randint(1, 7))}
+        yield "downset%d" % k, sp.downset_lattice(
+            sorted(poset, key=sorted), lambda a, b: a <= b)
+
+
+def test_irreducibles_match_pair_scan():
+    sizes = []
+    for name, L in _irreducible_cases():
+        assert L.join_irreducibles() == _join_irreducibles(L), name
+        assert L.meet_irreducibles() == _meet_irreducibles(L), name
+        sizes.append(len(L.elements))
+    assert max(sizes) >= 48 and min(sizes) <= 2
