@@ -263,9 +263,9 @@ def enumerate_homs(T, G, budget=None):
                 img = g if t == s else assignment.get(t)
                 if img is not None and (g, a, img) not in G.transitions:
                     return False
-        for a, pred in T._in[s].items():
+        for a, pred in T._in[s].items():  # s is unassigned: no self-loops
             for u in pred:
-                img = None if u == s else assignment.get(u)
+                img = assignment.get(u)
                 if img is not None and (img, a, g) not in G.transitions:
                     return False
         return True
