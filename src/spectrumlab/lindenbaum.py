@@ -1,5 +1,5 @@
-"""Propositional transition theories, Lindenbaum algebras as generated
-sublattices of model sets, nucleus enumeration, and the automorphism
+"""Propositional transition theories, Lindenbaum algebras as the up-set
+lattices of their models, nucleus enumeration, and the automorphism
 symmetry homomorphism."""
 
 import itertools
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .lts import BudgetExceeded, reachable_states
-from .spectrum import FiniteDistributiveLattice
+from .spectrum import SetLattice, downset_lattice
 
 MAX_FREE_ATOMS = 24
 MAX_NUCLEUS_LATTICE = 12
@@ -47,40 +47,24 @@ def enumerate_models(theory):
     return sorted(models, key=lambda m: (len(m), sorted(m)))
 
 
-def _set_key(s):
-    return (len(s), sorted(map(repr, s)))
-
-
 @dataclass
 class Lindenbaum:
     theory: PropTheory
     models: list           # list of frozensets
-    lattice: FiniteDistributiveLattice
+    lattice: SetLattice
     extensions: dict       # free atom -> frozenset of models containing it
 
 
 @lru_cache(maxsize=64)
 def lindenbaum(G):
-    """The sublattice of model subsets generated by the atom extensions
-    together with the empty and full sets, closed under intersection and
-    union."""
+    """The up-sets of the models under inclusion.  By Birkhoff's theorem
+    they are the sublattice of model sets generated by the atom extensions,
+    the empty and the full set: ↑m is the meet of m's atoms' extensions."""
     theory = labeled_theory(G)
     models = enumerate_models(theory)
-    full = frozenset(models)
     extensions = {at: frozenset(m for m in models if at in m)
                   for at in theory.atoms}
-    current = {frozenset(), full} | set(extensions.values())
-    while True:
-        new = set()
-        for a, b in itertools.combinations(sorted(current, key=_set_key), 2):
-            for v in (a & b, a | b):
-                if v not in current:
-                    new.add(v)
-        if not new:
-            break
-        current |= new
-    lattice = FiniteDistributiveLattice(
-        current, lambda a, b: a & b, lambda a, b: a | b, sort_key=_set_key)
+    lattice = downset_lattice(models, lambda a, b: a >= b)
     return Lindenbaum(theory, models, lattice, extensions)
 
 
@@ -94,7 +78,7 @@ def enumerate_nuclei(L):
     if len(L.elements) > MAX_NUCLEUS_LATTICE:
         raise BudgetExceeded("nucleus enumeration", len(L.elements),
                              "lattice elements", MAX_NUCLEUS_LATTICE)
-    order = sorted(L.elements, key=L._key)
+    order = L.elements
     upsets = {x: [y for y in order if L.leq(x, y)] for x in order}
     maps = []
     assign = {}
@@ -175,7 +159,7 @@ def automorphisms(G, labeled=True, fix_root=False):
 
 def induced_lattice_map(G, lind, sigma):
     """A state permutation acts on atoms, hence on models, hence on the
-    generated lattice; returns the element map as a dict."""
+    up-set lattice; returns the element map as a dict."""
     def atom_image(at):
         (a, s, t) = at
         return (a, sigma[s], sigma[t])

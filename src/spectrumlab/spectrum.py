@@ -1,12 +1,13 @@
 """Energy vectors and the finite distributive lattice calculus.
 
 Vectors live in (N u {inf})^6; the infinite component is float('inf'), which
-absorbs max exactly.  The lattice class is generic over hashable elements
-with explicit meet/join functions, so it also serves the Lindenbaum algebras
-(frozensets of models) and downset lattices.
+absorbs max exactly.  The spectrum lattice keeps checked meet/join tables;
+lattices of sets (downsets of a finite poset) compute them on demand.
 """
 
 import itertools
+import operator
+from collections import Counter
 from functools import reduce
 
 INF = float("inf")
@@ -57,9 +58,8 @@ class FiniteDistributiveLattice:
     an assumed one.
     """
 
-    def __init__(self, elements, meet, join, sort_key=repr):
-        self.elements = sorted(set(elements), key=sort_key)
-        self._key = sort_key
+    def __init__(self, elements, meet, join):
+        self.elements = sorted(set(elements), key=repr)
         self._meet = {}
         self._join = {}
         elems = set(self.elements)
@@ -147,21 +147,18 @@ class FiniteDistributiveLattice:
         """Order-preserving self-bijections, by backtracking on a structural
         signature (in/out cover degrees)."""
         covers = self.covers()
-        up = {x: sorted((b for (a, b) in covers if a == x), key=self._key)
-              for x in self.elements}
-        down = {x: sorted((a for (a, b) in covers if b == x), key=self._key)
-                for x in self.elements}
-        sig = {x: (len(up[x]), len(down[x])) for x in self.elements}
-        order = sorted(self.elements, key=self._key)
+        up = Counter(a for (a, _) in covers)
+        down = Counter(b for (_, b) in covers)
+        sig = {x: (up[x], down[x]) for x in self.elements}
         results = []
         assign = {}
         used = set()
 
         def rec(k):
-            if k == len(order):
+            if k == len(self.elements):
                 results.append(dict(assign))
                 return
-            x = order[k]
+            x = self.elements[k]
             for y in self.elements:
                 if y in used or sig[x] != sig[y]:
                     continue
@@ -177,6 +174,19 @@ class FiniteDistributiveLattice:
 
         rec(0)
         return results
+
+
+class SetLattice(FiniteDistributiveLattice):
+    """A lattice of sets under intersection and union, given bottom first
+    and top last; meet, join and order are computed when asked."""
+
+    def __init__(self, elements):
+        self.elements = list(elements)
+        self.bottom, self.top = self.elements[0], self.elements[-1]
+
+    meet = staticmethod(operator.and_)
+    join = staticmethod(operator.or_)
+    leq = staticmethod(operator.le)
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +286,18 @@ def incomparable_named_pairs():
 
 
 def downset_lattice(poset_elements, leq):
-    """O(P): all downward-closed subsets ordered by inclusion."""
+    """O(P): all downward-closed subsets ordered by inclusion.  They are the
+    unions of principal downsets, found by a worklist over bitmasks and
+    listed by (size, mask), bit i standing for the i-th poset element."""
     elems = list(poset_elements)
-    downsets = []
-    for mask in range(1 << len(elems)):
-        sub = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
-        if all(b in sub for a in sub for b in elems if leq(b, a)):
-            downsets.append(sub)
-    return FiniteDistributiveLattice(
-        downsets, lambda a, b: a & b, lambda a, b: a | b,
-        sort_key=lambda s: (len(s), sorted(map(repr, s))))
+    principal = {sum(1 << j for j, b in enumerate(elems) if leq(b, a))
+                 for a in elems}
+    masks, todo = {0}, [0]
+    while todo:
+        mask = todo.pop()
+        new = {mask | p for p in principal} - masks
+        masks |= new
+        todo.extend(new)
+    return SetLattice(
+        frozenset(e for j, e in enumerate(elems) if mask >> j & 1)
+        for mask in sorted(masks, key=lambda m: (m.bit_count(), m)))

@@ -1,11 +1,13 @@
+import itertools
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from spectrumlab import lindenbaum as lb
-from spectrumlab.lts import BudgetExceeded, catalog
+from spectrumlab.lts import BudgetExceeded, FinLTS, catalog, catalog_systems
 
 
 def model_count_oracle(G):
@@ -53,6 +55,51 @@ def test_lindenbaum_sizes():
     assert len(lb.lindenbaum(catalog("hubSpokes")).lattice.elements) == 5
 
 
+# The closure lindenbaum computed before it enumerated up-sets, in bitmask
+# form over model indices: the oracle for the Birkhoff construction.
+
+
+def _closure_of_extensions(lind):
+    index = {m: i for i, m in enumerate(lind.models)}
+
+    def mask(ms):
+        return sum(1 << index[m] for m in ms)
+
+    current = {0, mask(lind.models)}
+    current |= {mask(ext) for ext in lind.extensions.values()}
+    while True:
+        new = {v for a, b in itertools.combinations(current, 2)
+               for v in (a & b, a | b)} - current
+        if not new:
+            break
+        current |= new
+    return {frozenset(m for i, m in enumerate(lind.models) if c >> i & 1)
+            for c in current}
+
+
+def _random_systems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        edges = frozenset((rng.randrange(n), rng.choice("ab"), rng.randrange(n))
+                          for _ in range(rng.randint(0, 4)))
+        yield FinLTS(n, ("a", "b"), 0, edges)
+
+
+def test_up_sets_match_closure_of_extensions():
+    systems = [G for _, G in sorted(catalog_systems().items())]
+    assert len(systems) == 14
+    sizes = set()
+    for G in systems + list(_random_systems(61, 150)):
+        lind = lb.lindenbaum(G)
+        L = lind.lattice
+        assert len(set(L.elements)) == len(L.elements), G
+        assert set(L.elements) == _closure_of_extensions(lind), G
+        assert [len(x) for x in L.elements] == sorted(map(len, L.elements))
+        sizes.add(len(L.elements))
+    assert {2, 5, 19, 48, 1608} <= sizes
+
+
 def test_lindenbaum_birkhoff_cross_check():
     from spectrumlab.spectrum import downset_lattice
     for name in ("P_abc", "Q", "R6"):
@@ -97,20 +144,29 @@ def test_symmetry_hom_kernel_image():
     assert lb.is_group_hom(catalog("twoCycle"))
 
 
+# R6's lattice elements in their stored order, each set spelled out sorted so
+# that the text does not depend on how the sets iterate
+R6_ELEMENTS = ("[sorted(sorted(m) for m in x) "
+               "for x in lb.lindenbaum(catalog('R6')).lattice.elements]")
+
+
 @pytest.mark.parametrize("hash_seed", ["20", "27", "30", "32"])
 def test_symmetry_hom_image_independent_of_hash_seed(hash_seed):
     # equal lattice maps must count once whatever order their sets iterate
     # in; under these string-hash seeds twoCycle's two automorphisms once
-    # gave two images
+    # gave two images, and R6's elements were listed in another order
     code = ("from spectrumlab import lindenbaum as lb\n"
             "from spectrumlab.lts import catalog\n"
             "two = lb.symmetry_hom(catalog('twoCycle'))\n"
-            "print(two['kernel_size'], two['image_size'])\n")
+            "print(two['kernel_size'], two['image_size'])\n"
+            "print(%s)\n" % R6_ELEMENTS)
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=os.path.dirname(os.path.dirname(lb.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, check=True).stdout
-    assert out.split() == ["2", "1"]
+    counts, r6 = out.splitlines()
+    assert counts.split() == ["2", "1"]
+    assert r6 == str(eval(R6_ELEMENTS))
 
 
 def test_kernel_dichotomy():

@@ -132,6 +132,46 @@ def test_automorphisms_identity_present():
     assert {x: x for x in D.elements} in autos
 
 
+# The 2^|P| subset filter downset_lattice used before it took unions of
+# principal downsets: its oracle.
+
+
+def _downsets_by_filter(elems, leq):
+    downsets = []
+    for mask in range(1 << len(elems)):
+        sub = frozenset(e for i, e in enumerate(elems) if mask >> i & 1)
+        if all(b in sub for a in sub for b in elems if leq(b, a)):
+            downsets.append(sub)
+    return downsets
+
+
+def _random_posets():
+    yield [], sp.vec_leq
+    for k in range(1, 6):
+        yield list(range(k)), lambda a, b: a <= b
+    yield list(sp.NAMED_VECTORS.values()), sp.vec_leq
+    rng = random.Random(5)
+    for _ in range(40):
+        # subsets of a 4-set under inclusion, and integers under divisibility
+        yield sorted({frozenset(x for x in range(4) if rng.random() < 0.5)
+                      for _ in range(rng.randint(1, 9))}, key=sorted), \
+            lambda a, b: a <= b
+        yield rng.sample(range(1, 40), rng.randint(1, 10)), \
+            lambda a, b: b % a == 0
+
+
+def test_downset_lattice_matches_subset_filter():
+    sizes = set()
+    for elems, leq in _random_posets():
+        D = sp.downset_lattice(elems, leq)
+        want = _downsets_by_filter(elems, leq)
+        assert len(D.elements) == len(set(D.elements)) == len(want), elems
+        assert set(D.elements) == set(want), elems
+        assert D.bottom == frozenset() and D.top == frozenset(elems)
+        sizes.add(len(D.elements))
+    assert {1, 2, 6} <= sizes and max(sizes) > 100
+
+
 # The O(|L|^3) pair scans the irreducibles were computed with before: the
 # oracles for the below-join / above-meet test.
 
