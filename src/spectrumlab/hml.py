@@ -158,22 +158,24 @@ def satisfies(G, s, phi):
 
 def holds(G, s, phi):
     """Satisfaction without the label check: a label outside the alphabet
-    has no moves."""
-    if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bot):
-        return False
-    if isinstance(phi, And):
-        return holds(G, s, phi.left) and holds(G, s, phi.right)
-    if isinstance(phi, Or):
-        return holds(G, s, phi.left) or holds(G, s, phi.right)
-    if isinstance(phi, Diamond):
-        return any(holds(G, t, phi.body) for t in G.moves(s).get(phi.label, ()))
-    if isinstance(phi, Box):
-        return all(holds(G, t, phi.body) for t in G.moves(s).get(phi.label, ()))
-    if isinstance(phi, Neg):
-        return not holds(G, s, phi.body)
-    raise TypeError(phi)
+    has no moves.  Dispatches once on the node's type."""
+    rule = _HOLDS.get(type(phi))
+    if rule is None:
+        raise TypeError(phi)
+    return rule(G, s, phi)
+
+
+_HOLDS = {
+    Top: lambda G, s, phi: True,
+    Bot: lambda G, s, phi: False,
+    And: lambda G, s, phi: holds(G, s, phi.left) and holds(G, s, phi.right),
+    Or: lambda G, s, phi: holds(G, s, phi.left) or holds(G, s, phi.right),
+    Diamond: lambda G, s, phi: any(holds(G, t, phi.body)
+                                   for t in G.moves(s).get(phi.label, ())),
+    Box: lambda G, s, phi: all(holds(G, t, phi.body)
+                               for t in G.moves(s).get(phi.label, ())),
+    Neg: lambda G, s, phi: not holds(G, s, phi.body),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -325,10 +325,12 @@ def is_rooted_tree(G):
 def tree_depth(G):
     if not is_rooted_tree(G):
         raise ValueError("not a rooted tree")
-    def d(u):
-        succ = G.successors(u)
-        return 0 if not succ else 1 + max(d(v) for v in succ)
-    return d(G.root)
+    return height(G, G.root)
+
+
+def height(G, s):
+    """Length of the longest path from s in an acyclic system."""
+    return max((1 + height(G, t) for t in G.successors(s)), default=0)
 
 
 def max_branching(G):

@@ -10,7 +10,10 @@ import operator
 from collections import Counter
 from functools import reduce
 
+from .lts import BudgetExceeded
+
 INF = float("inf")
+MAX_LATTICE_ELEMENTS = 50000  # down-sets one lattice may have
 
 # 13 named equivalence budgets, coarse to fine
 NAMED_VECTORS = {
@@ -297,6 +300,9 @@ def downset_lattice(poset_elements, leq):
         mask = todo.pop()
         new = {mask | p for p in principal} - masks
         masks |= new
+        if len(masks) > MAX_LATTICE_ELEMENTS:
+            raise BudgetExceeded("lattice enumeration", len(masks),
+                                 "elements", MAX_LATTICE_ELEMENTS)
         todo.extend(new)
     return SetLattice(
         frozenset(e for j, e in enumerate(elems) if mask >> j & 1)

@@ -143,9 +143,12 @@ def test_usage_errors(capsys):
     assert code == 2
 
 
-# used and limit: 30 free atoms (24), 12 states (10), 10 base states (8)
+# used and limit: 30 free atoms (24), 12 states (10), 10 base states (8),
+# 50003 lattice elements (50000): the 7-edge star's up-sets number about
+# 2.4e12, so only the lattice cap stops the enumeration
 _BUDGET_NUMBERS = {
     ("lindenbaum", "fan(30)"): (30, 24),
+    ("lindenbaum", "fan(7)"): (50003, 50000),
     ("lindenbaum", "pathDigraph(11)", "--symmetry"): (12, 10),
     ("himp", "pathDigraph(9)", "0", "<*>T", "<*>T"): (10, 8),
 }
@@ -168,6 +171,7 @@ _BAD_JSON = {
     (["lindenbaum", "fan(30)"], 3),
     (["lindenbaum", "pathDigraph(11)", "--symmetry"], 3),
     (["himp", "pathDigraph(9)", "0", "<*>T", "<*>T"], 3),
+    (["lindenbaum", "fan(7)"], 3),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"
@@ -179,7 +183,7 @@ def test_errors_are_not_verdicts(tmp_path, argv, code):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(spectrumlab.__file__)))
     proc = subprocess.run([sys.executable, "-m", "spectrumlab.cli"] + argv,
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

@@ -1,10 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 from spectrumlab import hml
 from spectrumlab.equivalences import bisimilar, d_equivalent
-from spectrumlab.lts import ParseError, catalog, trace_lts
+from spectrumlab.lts import ParseError, catalog, catalog_systems, trace_lts
 
 
 def test_parse_print_roundtrip():
@@ -127,3 +128,64 @@ def test_witness_pairs_are_bisimilar():
         assert w is not None
         assert (M.state(sM), N.state(sN)) in {
             (s, t) for (s, t) in [(M.state(a), N.state(b)) for (a, b) in rel]}
+
+
+def _holds_by_isinstance(G, s, phi):
+    """The isinstance chain that `holds` replaced, kept as its oracle."""
+    if isinstance(phi, hml.Top):
+        return True
+    if isinstance(phi, hml.Bot):
+        return False
+    if isinstance(phi, hml.And):
+        return (_holds_by_isinstance(G, s, phi.left)
+                and _holds_by_isinstance(G, s, phi.right))
+    if isinstance(phi, hml.Or):
+        return (_holds_by_isinstance(G, s, phi.left)
+                or _holds_by_isinstance(G, s, phi.right))
+    if isinstance(phi, hml.Diamond):
+        return any(_holds_by_isinstance(G, t, phi.body)
+                   for t in G.moves(s).get(phi.label, ()))
+    if isinstance(phi, hml.Box):
+        return all(_holds_by_isinstance(G, t, phi.body)
+                   for t in G.moves(s).get(phi.label, ()))
+    if isinstance(phi, hml.Neg):
+        return not _holds_by_isinstance(G, s, phi.body)
+    raise TypeError(phi)
+
+
+def test_holds_dispatch_matches_isinstance_chain():
+    rng = random.Random(5)
+
+    def formula(d, labels):
+        k = rng.randrange(7) if d else rng.randrange(2)
+        if k < 2:
+            return (hml.TOP, hml.BOT)[k]
+        if k < 4:
+            return (hml.And, hml.Or)[k - 2](formula(d - 1, labels),
+                                            formula(d - 1, labels))
+        if k == 6:
+            return hml.Neg(formula(d - 1, labels))
+        return (hml.Diamond, hml.Box)[k - 4](rng.choice(labels),
+                                             formula(d - 1, labels))
+
+    seen = set()
+    for G in catalog_systems().values():
+        labels = list(G.alphabet) + ["zz"]  # one label with no moves
+        for _ in range(40):
+            phi = formula(4, labels)
+            for s in range(G.n):
+                got = hml.holds(G, s, phi)
+                assert got == _holds_by_isinstance(G, s, phi), (G, s, phi)
+                seen.add(got)
+    assert seen == {True, False}
+    # short-circuiting: the right operand is read only when it decides
+    junk = object()
+    G = catalog("Q")
+    assert hml.holds(G, 0, hml.And(hml.BOT, junk)) is False
+    assert hml.holds(G, 0, hml.Or(hml.TOP, junk)) is True
+    assert hml.holds(G, 0, hml.Diamond("zz", junk)) is False
+    assert hml.holds(G, 0, hml.Box("zz", junk)) is True
+    for phi in (junk, hml.And(hml.TOP, junk), hml.Or(hml.BOT, junk),
+                hml.Neg(junk), "T"):
+        with pytest.raises(TypeError):
+            hml.holds(G, 0, phi)
