@@ -237,7 +237,7 @@ def cmd_lattice(args):
                    "connected": ind["connected"],
                    "j_covers": len(ind["j_covers"])}
     elif args.topic == "biheyting":
-        neg = sp.negations_and_core(L)
+        core = L.boolean_core()
         lines.append("S -> F = %s" % sp.format_vector(
             L.heyting(NV["S"], NV["F"])))
         for (x, y, _) in rp.SUBTRACTION_TABLE:
@@ -247,10 +247,10 @@ def cmd_lattice(args):
                             sp.format_vector(sp.naive_subtraction(NV[x], NV[y]))))
         lines.append("Boolean core: %s"
                      % [sp.NAME_OF_VECTOR.get(v, sp.format_vector(v))
-                        for v in neg["boolean_core"]])
+                        for v in core])
         lines.append("incomparable named pairs: %d"
                      % len(sp.incomparable_named_pairs()))
-        payload = {"core": [sp.format_vector(v) for v in neg["boolean_core"]]}
+        payload = {"core": [sp.format_vector(v) for v in core]}
     elif args.topic == "coordinatization":
         D = sp.downset_lattice(NV.values(), sp.vec_leq)
         lines.append("downset lattice: %d elements, %d join irreducibles"
@@ -278,7 +278,7 @@ def cmd_lindenbaum(args):
     if args.symmetry:
         hom = lb.symmetry_hom(G)
         dich = lb.kernel_dichotomy_check(G)
-        autos = lb.automorphisms(G)
+        autos = hom["automorphisms"]
         payload.update({"automorphisms": len(autos),
                         "kernel": hom["kernel_size"],
                         "image": hom["image_size"],

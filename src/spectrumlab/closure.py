@@ -202,14 +202,13 @@ def monotone_along(S, h):
                for v in range(G.n))
 
 
-def monotonicity_check(phi, systems=None):
+def monotonicity_check(phi):
     """The defining formula must be preserved along every enumerated hom
     between same-alphabet sample systems."""
     _require_fragment(phi)
     S = Subfunctor(phi)
-    if systems is None:
-        systems = [g for g in catalog_systems().values()
-                   if labels_of(phi) <= set(g.alphabet)]
+    systems = [g for g in catalog_systems().values()
+               if labels_of(phi) <= set(g.alphabet)]
     for G in systems:
         for H in systems:
             if set(G.alphabet) != set(H.alphabet):
@@ -244,13 +243,12 @@ def _table(sample, fn):
     return tuple(fn(G, v) for (G, v) in sample)
 
 
-def regime_classify(phi, psi, sample=None):
+def regime_classify(phi, psi):
     """Compare the implication's truth table over the sample against the
     candidate formulas; report 'other' rather than guess."""
     _require_fragment(phi)
     _require_fragment(psi)
-    if sample is None:
-        sample = default_sample(phi, psi)
+    sample = default_sample(phi, psi)
     if not sample:
         raise ValueError("empty sample")
     imp = _table(sample, lambda G, v: heyting_implication_presheaf(G, v, phi, psi))
@@ -265,12 +263,11 @@ def regime_classify(phi, psi, sample=None):
     return {"regime": "other", "residual": None}
 
 
-def adjunction_check(s1, s2, t, sample=None):
+def adjunction_check(s1, s2, t):
     """Sample-table adjunction: s1 & t below s2 iff t below s1 -> s2."""
     for f in (s1, s2, t):
         _require_fragment(f)
-    if sample is None:
-        sample = default_sample(And(s1, t), s2)
+    sample = default_sample(And(s1, t), s2)
     lhs = all(not (satisfies(G, v, s1) and satisfies(G, v, t))
               or satisfies(G, v, s2) for (G, v) in sample)
     rhs = all(not satisfies(G, v, t)

@@ -211,15 +211,14 @@ class SimPair:
     coherence: str  # "functional" or "biInterpretation"
 
 
-def _pair_search(M, N, coherent, tag, budget=None):
-    if budget is None:
-        budget = enumeration_budget()
+def _pair_search(M, N, coherent, tag):
+    budget = enumeration_budget()
     maps = max(N.n ** M.n, M.n ** N.n)
     if maps > budget:
         raise BudgetExceeded("function-pair search", maps, "candidate maps",
                              budget)
-    fwd = enumerate_homs(M, N, budget)
-    bwd = enumerate_homs(N, M, budget)
+    fwd = enumerate_homs(M, N)
+    bwd = enumerate_homs(N, M)
     if len(fwd) * len(bwd) > budget:
         raise BudgetExceeded("function-pair search", len(fwd) * len(bwd),
                              "hom pairs", budget)
@@ -230,16 +229,16 @@ def _pair_search(M, N, coherent, tag, budget=None):
     return None
 
 
-def functional_bisim_search(M, N, budget=None):
+def functional_bisim_search(M, N):
     """Simulations f: M->N, g: N->M with both round trips path-equivalent to
     the identity, or exhaustively-verified absence."""
     def coherent(M, N, f, g):
         return (all(path_equivalent(M, g(f(s)), s) for s in range(M.n))
                 and all(path_equivalent(N, f(g(t)), t) for t in range(N.n)))
-    return _pair_search(M, N, coherent, "functional", budget)
+    return _pair_search(M, N, coherent, "functional")
 
 
-def bi_interpretation_search(M, N, budget=None):
+def bi_interpretation_search(M, N):
     """Like functional_bisim_search but with round trips only required to be
     mutually reachable with the identity."""
     def mutual(G, u, v):
@@ -247,7 +246,7 @@ def bi_interpretation_search(M, N, budget=None):
     def coherent(M, N, f, g):
         return (all(mutual(M, g(f(s)), s) for s in range(M.n))
                 and all(mutual(N, f(g(t)), t) for t in range(N.n)))
-    return _pair_search(M, N, coherent, "biInterpretation", budget)
+    return _pair_search(M, N, coherent, "biInterpretation")
 
 
 def quotient_bridge_check(M, N):

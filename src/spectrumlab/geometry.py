@@ -179,11 +179,10 @@ def eval_formula(G, phi, env):
     raise TypeError(phi)
 
 
-def eval_sequent(G, sigma, budget=None):
+def eval_sequent(G, sigma):
     """True iff every assignment of the context variables makes the
     antecedent imply the consequent."""
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     k = len(sigma.context)
     if G.n ** k > budget:
         raise BudgetExceeded("sequent evaluation", G.n ** k, "assignments",
@@ -333,14 +332,13 @@ def topos_separation_certificate(M, N, extra=()):
 # standard translation of diamond-only modal formulas
 
 
-def standard_translation(phi, var="x", _counter=None):
+def standard_translation(phi):
     """ST_x: diamonds become existential step quantifiers.  Only single-label
     ("*") modalities translate; the geometric step predicate is unlabeled."""
     from . import hml
     if not hml.in_fragment(phi, "diamondOnly"):
         raise ValueError("formula outside the diamond-only fragment")
-    if _counter is None:
-        _counter = itertools.count()
+    counter = itertools.count()
 
     def st(phi, v):
         if isinstance(phi, hml.Top):
@@ -354,12 +352,12 @@ def standard_translation(phi, var="x", _counter=None):
         if isinstance(phi, hml.Diamond):
             if phi.label != "*":
                 raise ValueError("only single-label modalities translate")
-            fresh = "v%d" % next(_counter)
+            fresh = "v%d" % next(counter)
             return Exists(fresh, And(Atom("D", Var(v), Var(fresh)),
                                      st(phi.body, fresh)))
         raise TypeError(phi)
 
-    return st(phi, var)
+    return st(phi, "x")
 
 
 def is_equality_free(phi):

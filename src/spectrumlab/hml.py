@@ -330,15 +330,14 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
     return formulas
 
 
-def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2,
-                           max_conj=2):
+def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
     """First canonical formula (in enumeration order) true at root_M and
     false at root_N, or None if the bounded family has no separator."""
     if depth_bound > 3:
         raise ValueError("depth bound capped at 3")
     alphabet = sorted(set(M.alphabet) | set(N.alphabet))
     shared = set(M.alphabet) & set(N.alphabet)
-    for phi in canonical_formulas(alphabet, depth_bound, fragment, max_conj):
+    for phi in canonical_formulas(alphabet, depth_bound, fragment):
         if (labels_of(phi) <= shared and holds(M, M.root, phi)
                 and not holds(N, N.root, phi)):
             return phi

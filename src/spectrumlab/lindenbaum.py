@@ -1,8 +1,8 @@
 """Propositional transition theories, Lindenbaum algebras as the up-set
-lattices of their models, nucleus enumeration, and the automorphism
-symmetry homomorphism."""
+lattices of their models, nucleus enumeration, label-preserving graph
+automorphisms by backtracking, and the symmetry homomorphism they induce on
+the lattice."""
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,37 +119,36 @@ def is_nucleus(L, j):
 # automorphisms
 
 
-def automorphisms(G, labeled=True, fix_root=False):
-    """All graph automorphisms (state permutations preserving the edge
-    relation, label-preserving when labeled=True).  The root is not required
-    to be fixed unless fix_root is set."""
+def automorphisms(G):
+    """All label-preserving graph automorphisms, as tuples p with p[s] the
+    image of state s, in lexicographic order; the root may move.  States
+    are assigned in order by backtracking; an image must match the state's
+    per-label degree signature and keep every edge back to the states
+    already assigned (McKay & Piperno, Practical graph isomorphism II)."""
     if G.n > MAX_AUT_STATES:
         raise BudgetExceeded("automorphism search", G.n, "states",
                              MAX_AUT_STATES)
+    sig = [tuple((len(G.successors(s, a)), len(G.predecessors(s, a)))
+                 for a in G.alphabet) for s in range(G.n)]
+    checks = [[] for _ in range(G.n)]  # the edges whose later end is s
+    for (s, a, t) in G.transitions:
+        checks[max(s, t)].append((s, a, t))
+    perm, results = [], []
 
-    if labeled:
-        edges = G.transitions
-        def edge_sig(s):
-            return tuple((len(G.successors(s, a)), len(G.predecessors(s, a)))
-                         for a in G.alphabet)
-        def respects(p):
-            return all((p[s], a, p[t]) in edges for (s, a, t) in edges)
-    else:
-        edges = {(s, t) for (s, a, t) in G.transitions}
-        def edge_sig(s):
-            return (len(G.successors(s)), len(G.predecessors(s)))
-        def respects(p):
-            return all((p[s], p[t]) in edges for (s, t) in edges)
+    def extend(s):
+        if s == G.n:
+            results.append(tuple(perm))
+            return
+        for g in range(G.n):
+            if g in perm or sig[g] != sig[s]:
+                continue
+            perm.append(g)
+            if all((perm[u], a, perm[t]) in G.transitions
+                   for (u, a, t) in checks[s]):
+                extend(s + 1)
+            perm.pop()
 
-    sig = {s: edge_sig(s) for s in range(G.n)}
-    results = []
-    for perm in itertools.permutations(range(G.n)):
-        if fix_root and perm[G.root] != G.root:
-            continue
-        if any(sig[s] != sig[perm[s]] for s in range(G.n)):
-            continue
-        if respects(perm):
-            results.append(perm)
+    extend(0)
     return results
 
 
@@ -160,17 +159,12 @@ def automorphisms(G, labeled=True, fix_root=False):
 def induced_lattice_map(G, lind, sigma):
     """A state permutation acts on atoms, hence on models, hence on the
     up-set lattice; returns the element map as a dict."""
-    def atom_image(at):
-        (a, s, t) = at
-        return (a, sigma[s], sigma[t])
-
-    def model_image(m):
-        return frozenset(atom_image(at) for at in m)
-
+    image = {m: frozenset((a, sigma[s], sigma[t]) for (a, s, t) in m)
+             for m in lind.models}
     out = {}
     elems = set(lind.lattice.elements)
     for x in lind.lattice.elements:
-        img = frozenset(model_image(m) for m in x)
+        img = frozenset(image[m] for m in x)
         if img not in elems:
             raise ValueError("permutation does not preserve the lattice")
         out[x] = img
@@ -181,7 +175,7 @@ def symmetry_hom(G):
     """Graph automorphisms -> lattice automorphisms of the Lindenbaum
     algebra; reports kernel and image."""
     lind = lindenbaum(G)
-    autos = automorphisms(G, labeled=True)
+    autos = automorphisms(G)
     identity = {x: x for x in lind.lattice.elements}
     entries = []
     for sigma in autos:
@@ -202,7 +196,7 @@ def symmetry_hom(G):
 def is_group_hom(G):
     """Compatibility with composition and identity, on all pairs."""
     lind = lindenbaum(G)
-    autos = automorphisms(G, labeled=True)
+    autos = automorphisms(G)
     ind = {sigma: induced_lattice_map(G, lind, sigma) for sigma in autos}
     identity = tuple(range(G.n))
     if ind[identity] != {x: x for x in lind.lattice.elements}:

@@ -156,6 +156,9 @@ def make_lts(names, alphabet, root_name, edges):
     """Build a FinLTS from display names and (src, label, dst) name triples."""
     names = tuple(names)
     idx = {nm: i for i, nm in enumerate(names)}
+    if len(idx) != len(names):  # a repeated name would resolve two ways
+        raise ValueError("repeated state name %r" % next(
+            nm for i, nm in enumerate(names) if idx[nm] != i))
     trans = frozenset((idx[s], a, idx[t]) for (s, a, t) in edges)
     return FinLTS(len(names), tuple(alphabet), idx[root_name], trans, names)
 
@@ -236,14 +239,13 @@ def identity_hom(G):
     return Homomorphism(G, G, tuple(range(G.n)))
 
 
-def enumerate_homs(T, G, budget=None):
+def enumerate_homs(T, G):
     """All root- and label-preserving homomorphisms T -> G, by backtracking.
 
-    The budget counts candidate partial assignments; exceeding it raises
-    BudgetExceeded rather than returning a wrong answer.
+    The enumeration budget counts candidate partial assignments; exceeding
+    it raises BudgetExceeded rather than returning a wrong answer.
     """
-    if budget is None:
-        budget = enumeration_budget()
+    budget = enumeration_budget()
     # order: BFS from the root, then any leftover states
     order, seen = [T.root], {T.root}
     for u in order:
@@ -438,7 +440,7 @@ def trace_lts(word, alphabet=None):
     return make_lts(names, alphabet, "0", edges)
 
 
-def fan_lts(w1, w2, alphabet=None):
+def fan_lts(w1, w2):
     names = ["0"]
     edges = []
     prev = "0"
@@ -453,9 +455,7 @@ def fan_lts(w1, w2, alphabet=None):
         names.append(nm)
         edges.append((prev, a, nm))
         prev = nm
-    if alphabet is None:
-        alphabet = tuple(sorted(set(w1 + w2))) or (STAR,)
-    return make_lts(names, alphabet, "0", edges)
+    return make_lts(names, tuple(sorted(set(w1 + w2))) or (STAR,), "0", edges)
 
 
 def _fixed_catalog():

@@ -17,8 +17,8 @@ from .lts import catalog, catalog_systems, fan, iso_check, path_digraph, quotien
 RANDOM_SEED = 1729
 
 
-def _row(claim, computed, ok):
-    return (claim, str(computed), bool(ok))
+def _row(claim, value):
+    return (claim, str(value), bool(value))
 
 
 def _eqrow(claim, computed, expected):
@@ -79,12 +79,8 @@ def criterion_3():
     rows.append(_eqrow("6 of their implications unnamed", len(unnamed), 6))
     rows.append(_row("not x = E for all x above bottom",
                      all(L.pseudocomplement(x) == NV["E"]
-                         for x in L.elements if x != NV["E"]),
-                     all(L.pseudocomplement(x) == NV["E"]
                          for x in L.elements if x != NV["E"])))
     rows.append(_row("co-not x = B for all x below top",
-                     all(L.conegation(x) == NV["B"]
-                         for x in L.elements if x != NV["B"]),
                      all(L.conegation(x) == NV["B"]
                          for x in L.elements if x != NV["B"])))
     core = sorted(L.boolean_core())
@@ -100,7 +96,7 @@ def criterion_3():
     naive_ok = all(sp.naive_subtraction(NV[x], NV[y])[0] == 0
                    for (x, y, _) in SUBTRACTION_TABLE)
     rows.append(_row("naive subtraction kills the depth slot on the table "
-                     "pairs", naive_ok, naive_ok))
+                     "pairs", naive_ok))
     himp = {(a, b): L.heyting(a, b)
             for a in L.elements for b in L.elements}
     csub = {(x, y): L.coheyting(x, y)
@@ -109,8 +105,8 @@ def criterion_3():
               for z in L.elements for a in L.elements for b in L.elements)
     cohey = all(L.leq(csub[(x, y)], z) == L.leq(x, L.join(y, z))
                 for x in L.elements for y in L.elements for z in L.elements)
-    rows.append(_row("Heyting adjunction on all triples", hey, hey))
-    rows.append(_row("co-Heyting adjunction on all triples", cohey, cohey))
+    rows.append(_row("Heyting adjunction on all triples", hey))
+    rows.append(_row("co-Heyting adjunction on all triples", cohey))
     return ("Bi-Heyting structure", rows)
 
 
@@ -120,7 +116,7 @@ def criterion_4():
     rows = [
         _eqrow("downset lattice of the 13 vectors has 13 join irreducibles",
                nj, 13),
-        _row("which differs from the 10 of the closure", nj != 10, nj != 10),
+        _row("which differs from the 10 of the closure", nj != 10),
     ]
     return ("Coordinatization", rows)
 
@@ -147,13 +143,11 @@ def criterion_5():
                        _names((hub, two), wit or ()),
                        [("a", "x"), ("b", "y"), ("c", "y")]))
     rows.append(_row("functional bisimulation hubSpokes <-> twoCycle exists",
-                     eq.functional_bisim_search(hub, two) is not None,
                      eq.functional_bisim_search(hub, two) is not None))
     cert = geo.topos_separation_certificate(hub, two)
     rows.append(_eqrow("determinism sequent separates them",
                        cert and cert["name"], "det"))
     rows.append(_row("diamond/confluenceTree bisimilar",
-                     eq.bisimilar(dia, conf) is not None,
                      eq.bisimilar(dia, conf) is not None))
     cert = geo.topos_separation_certificate(dia, conf)
     rows.append(_eqrow("confluence sequent separates them",
@@ -168,7 +162,6 @@ def criterion_5():
     rows.append(_eqrow("self-loop sequent separates them",
                        cert and cert["name"], "loop"))
     rows.append(_row("quotients of hubSpokes and twoCycle isomorphic",
-                     iso_check(quotient(hub), quotient(two)) is not None,
                      iso_check(quotient(hub), quotient(two)) is not None))
     return ("Hierarchy separations", rows)
 
@@ -183,14 +176,14 @@ def criterion_6():
                 for s in range(G.n)}
         if len(vals) > 1:
             const = False
-    rows.append(_row("depth-0 modal formulas are constant", const, const))
+    rows.append(_row("depth-0 modal formulas are constant", const))
     for d in (0, 1, 2):
         suite = hml.vanbenthem_suite(d)
         ok = all(r["ok"] for r in suite)
         inv = sum(1 for r in suite if r["invariant"])
         sep = sum(1 for r in suite if not r["invariant"])
         rows.append(_row("depth %d: %d invariant, %d separated, all verified"
-                         % (d, inv, sep), ok, ok))
+                         % (d, inv, sep), ok))
     return ("Bounded invariance suites", rows)
 
 
@@ -260,7 +253,7 @@ def criterion_8():
         if not any(all(j[x] == x for x in lat.elements) for j in ns):
             id_in_all = False
     rows.append(_row("identity nucleus present in every enumeration",
-                     id_in_all, id_in_all))
+                     id_in_all))
     return ("Lindenbaum algebras", rows)
 
 
@@ -277,11 +270,11 @@ def criterion_9():
                        (two["kernel_size"], len(two["automorphisms"])), (2, 2)))
     agree = all(lb.kernel_dichotomy_check(G)["agree"]
                 for G in catalog_systems().values())
-    rows.append(_row("kernel dichotomy on every catalog system", agree, agree))
+    rows.append(_row("kernel dichotomy on every catalog system", agree))
     hom_ok = all(lb.is_group_hom(catalog(n))
                  for n in ("hubSpokes", "twoCycle", "diamond"))
     rows.append(_row("induced maps respect composition and identity",
-                     hom_ok, hom_ok))
+                     hom_ok))
     return ("Symmetry homomorphism", rows)
 
 
@@ -298,8 +291,7 @@ def criterion_10():
     for C in (tp.PATHS, tp.TREES):
         rep = tp.grothendieck_axiom_check(C, sample, bounds)
         ok = rep["maximality"] and rep["stability"] and rep["transitivity"]
-        rows.append(_row("%s covering passes all three axioms" % C.name,
-                         ok, ok))
+        rows.append(_row("%s covering passes all three axioms" % C.name, ok))
     naive = tp.grothendieck_axiom_check(tp.TREES, sample, bounds, naive=True)
     rows.append(_eqrow("naive predicate: maximality and transitivity pass",
                        (naive["maximality"], naive["transitivity"]),
@@ -316,7 +308,7 @@ def criterion_10():
     prefix_ok = all(tp.prefix_hom_check(w1, w2)["ok"]
                     for w1 in words for w2 in words)
     rows.append(_row("prefix-hom law on all word pairs of length <= 4",
-                     prefix_ok, prefix_ok))
+                     prefix_ok))
     bracket_ok = True
     for G in sample:
         U = tp.MorphismUniverse(G, bounds)
@@ -334,9 +326,9 @@ def criterion_10():
                     if energy_c and not paths_c:
                         bracket_ok = False
     rows.append(_row("bracket bisim => energy(E) => trace on sampled sieves",
-                     bracket_ok, bracket_ok))
+                     bracket_ok))
     dens = all(tp.density_check(G, bounds) for G in sample)
-    rows.append(_row("chain systems are dense in the sample", dens, dens))
+    rows.append(_row("chain systems are dense in the sample", dens))
     return ("Covering topologies", rows)
 
 
@@ -348,8 +340,8 @@ _REGIME_TABLE = (
 )
 
 
-def _random_system(rng, max_n=4):
-    n = rng.randint(1, max_n)
+def _random_system(rng):
+    n = rng.randint(1, 4)
     alphabet = ("a", "b")
     trans = set()
     for s in range(n):
@@ -393,7 +385,7 @@ def criterion_11():
                 b = cl.brute_force_implication(G, v, phi, psi, G.n + 2)
                 if a != b:
                     agree = False
-    rows.append(_row("oracle agreement on all regime instances", agree, agree))
+    rows.append(_row("oracle agreement on all regime instances", agree))
     rng = random.Random(RANDOM_SEED)
     rand_ok = True
     for _ in range(200):
@@ -405,8 +397,7 @@ def criterion_11():
         b = cl.brute_force_implication(G, v, phi, psi, G.n + 2)
         if a != b:
             rand_ok = False
-    rows.append(_row("oracle agreement on 200 seeded random cases",
-                     rand_ok, rand_ok))
+    rows.append(_row("oracle agreement on 200 seeded random cases", rand_ok))
     collapse_ok = True
     for G in catalog_systems().values():
         for text in ("<a>T", "<a><b>T"):
@@ -418,7 +409,7 @@ def criterion_11():
                 if rep["negation"] or not rep["double_negation"]:
                     collapse_ok = False
     rows.append(_row("negation collapse on every labeled catalog vertex",
-                     collapse_ok, collapse_ok))
+                     collapse_ok))
     return ("Geometric closure", rows)
 
 
@@ -442,8 +433,8 @@ def criterion_12():
                 if hml.satisfies(G, G.root, phi) != hml.satisfies(T, 0, phi):
                     preserve = False
     rows.append(_row("depth-d formulas preserved for every system, d <= 3",
-                     preserve, preserve))
-    rows.append(_row("every unraveling is a clean tree", shapes, shapes))
+                     preserve))
+    rows.append(_row("every unraveling is a clean tree", shapes))
     return ("Tree unraveling", rows)
 
 

@@ -1,13 +1,14 @@
 """Energy vectors and the finite distributive lattice calculus.
 
 Vectors live in (N u {inf})^6; the infinite component is float('inf'), which
-absorbs max exactly.  The spectrum lattice keeps checked meet/join tables;
-lattices of sets (downsets of a finite poset) compute them on demand.
+absorbs max exactly.  The spectrum lattice keeps checked meet/join tables
+and answers Heyting and co-Heyting operations, negations, irreducibles and
+the Boolean core; lattices of sets (downsets of a finite poset) compute
+meet and join on demand.
 """
 
 import itertools
 import operator
-from collections import Counter
 from functools import reduce
 
 from .lts import BudgetExceeded
@@ -88,16 +89,6 @@ class FiniteDistributiveLattice:
     def lt(self, a, b):
         return a != b and self.leq(a, b)
 
-    def covers(self):
-        """Hasse diagram edges (a covered-by b)."""
-        out = []
-        for a in self.elements:
-            for b in self.elements:
-                if self.lt(a, b) and not any(
-                        self.lt(a, c) and self.lt(c, b) for c in self.elements):
-                    out.append((a, b))
-        return out
-
     def join_irreducibles(self):
         """Non-bottom elements that are not the join of all the elements
         strictly below them (so not the join of any two of them)."""
@@ -145,38 +136,6 @@ class FiniteDistributiveLattice:
     def boolean_core(self):
         return [x for x in self.elements
                 if self.pseudocomplement(self.pseudocomplement(x)) == x]
-
-    def automorphisms(self):
-        """Order-preserving self-bijections, by backtracking on a structural
-        signature (in/out cover degrees)."""
-        covers = self.covers()
-        up = Counter(a for (a, _) in covers)
-        down = Counter(b for (_, b) in covers)
-        sig = {x: (up[x], down[x]) for x in self.elements}
-        results = []
-        assign = {}
-        used = set()
-
-        def rec(k):
-            if k == len(self.elements):
-                results.append(dict(assign))
-                return
-            x = self.elements[k]
-            for y in self.elements:
-                if y in used or sig[x] != sig[y]:
-                    continue
-                ok = all(self.leq(x, z) == self.leq(y, assign[z])
-                         and self.leq(z, x) == self.leq(assign[z], y)
-                         for z in assign)
-                if ok:
-                    assign[x] = y
-                    used.add(y)
-                    rec(k + 1)
-                    del assign[x]
-                    used.discard(y)
-
-        rec(0)
-        return results
 
 
 class SetLattice(FiniteDistributiveLattice):
@@ -233,16 +192,6 @@ def naive_subtraction(x, y):
     return tuple(a if a > b else 0 for a, b in zip(x, y))
 
 
-def negations_and_core(L):
-    rows = {
-        "pseudocomplements": {x: L.pseudocomplement(x) for x in L.elements},
-        "conegations": {x: L.conegation(x) for x in L.elements},
-        "boundaries": {x: L.boundary(x) for x in L.elements},
-        "boolean_core": L.boolean_core(),
-    }
-    return rows
-
-
 def comparability_components(L, nodes):
     """Connected components of the comparability graph on the given nodes."""
     nodes = list(nodes)
@@ -254,29 +203,27 @@ def comparability_components(L, nodes):
             x = parent[x]
         return x
 
-    edges = []
     for a, b in itertools.combinations(nodes, 2):
         if L.leq(a, b) or L.leq(b, a):
-            edges.append((a, b))
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
     comps = {}
     for x in nodes:
         comps.setdefault(find(x), []).append(x)
-    return list(comps.values()), edges
+    return list(comps.values())
 
 
 def indecomposability_check(L):
     """Connectivity of the comparability graph on the join-irreducibles,
-    with a spanning edge list as witness."""
+    and the covering relations inside them."""
     J = L.join_irreducibles()
-    comps, edges = comparability_components(L, J)
+    comps = comparability_components(L, J)
     # covering relations inside the J subposet
     jcovers = [(a, b) for a in J for b in J
                if L.lt(a, b) and not any(L.lt(a, c) and L.lt(c, b) for c in J)]
     return {"connected": len(comps) == 1, "components": len(comps),
-            "comparability_edges": edges, "j_covers": jcovers}
+            "j_covers": jcovers}
 
 
 def incomparable_named_pairs():

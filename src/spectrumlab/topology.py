@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .lts import (BudgetExceeded, FinLTS, Homomorphism, enumerate_homs,
-                  enumeration_budget, fan_lts, height, identity_hom,
-                  is_rooted_tree, max_branching, trace_lts, tree_depth)
+                  fan_lts, height, identity_hom, is_rooted_tree,
+                  max_branching, trace_lts, tree_depth)
 from .spectrum import INF, format_vector
 
 MAX_TEST_OBJECTS = 400
@@ -111,7 +111,7 @@ class MorphismUniverse:
 
     def _run(self, A, B):
         if (A, B) not in self._runs:
-            homs = enumerate_homs(A, B, enumeration_budget())
+            homs = enumerate_homs(A, B)
             run = range(len(self._arrows), len(self._arrows) + len(homs))
             self._arrows += homs
             self._runs[A, B] = run

@@ -154,8 +154,11 @@ _BUDGET_NUMBERS = {
 }
 
 _BAD_JSON = {
-    "undeclared_state.json": [["a", "x", "zz"]],
-    "undeclared_label.json": [["a", "y", "b"]],
+    "undeclared_state.json": {"transitions": [["a", "x", "zz"]]},
+    "undeclared_label.json": {"transitions": [["a", "y", "b"]]},
+    # edges and state() would resolve the second "a" differently
+    "repeated_state.json": {"states": ["a", "b", "a"],
+                            "transitions": [["a", "x", "b"]]},
 }
 
 
@@ -172,13 +175,15 @@ _BAD_JSON = {
     (["lindenbaum", "pathDigraph(11)", "--symmetry"], 3),
     (["himp", "pathDigraph(9)", "0", "<*>T", "<*>T"], 3),
     (["lindenbaum", "fan(7)"], 3),
+    (["sigma", "custom", "T |- D(c_a,c_b)", "repeated_state.json"], 2),
+    (["unravel", "repeated_state.json", "a", "1"], 2),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"
-    for name, edges in _BAD_JSON.items():
+    for name, fields in _BAD_JSON.items():
         (tmp_path / name).write_text(json.dumps(
-            {"states": ["a", "b"], "alphabet": ["x"], "root": "a",
-             "transitions": edges}))
+            dict({"states": ["a", "b"], "alphabet": ["x"], "root": "a"},
+                 **fields)))
     argv = [str(tmp_path / a) if a in _BAD_JSON else a for a in argv]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(spectrumlab.__file__)))

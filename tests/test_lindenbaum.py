@@ -4,7 +4,9 @@ import random
 import subprocess
 import sys
 
+import networkx as nx
 import pytest
+from networkx.algorithms import isomorphism
 
 from spectrumlab import lindenbaum as lb
 from spectrumlab.lts import BudgetExceeded, FinLTS, catalog, catalog_systems
@@ -133,6 +135,65 @@ def test_automorphisms():
     for p in hub:
         for q in hub:
             assert tuple(p[q[i]] for i in range(3)) in perms
+
+
+# The n! loop automorphisms ran before it backtracked, in its labeled mode:
+# the first oracle for the search.
+
+
+def _automorphisms_by_permutation(G):
+    edges = G.transitions
+    def edge_sig(s):
+        return tuple((len(G.successors(s, a)), len(G.predecessors(s, a)))
+                     for a in G.alphabet)
+    def respects(p):
+        return all((p[s], a, p[t]) in edges for (s, a, t) in edges)
+
+    sig = {s: edge_sig(s) for s in range(G.n)}
+    results = []
+    for perm in itertools.permutations(range(G.n)):
+        if any(sig[s] != sig[perm[s]] for s in range(G.n)):
+            continue
+        if respects(perm):
+            results.append(perm)
+    return results
+
+
+def _automorphisms_by_vf2(G):
+    """networkx VF2 on the digraph whose edges carry their label sets."""
+    labels = {}
+    for (s, a, t) in G.transitions:
+        labels.setdefault((s, t), set()).add(a)
+    D = nx.DiGraph()
+    D.add_nodes_from(range(G.n))
+    D.add_edges_from((s, t, {"labels": frozenset(ls)})
+                     for (s, t), ls in labels.items())
+    matcher = isomorphism.DiGraphMatcher(
+        D, D, edge_match=lambda e, f: e["labels"] == f["labels"])
+    return sorted(tuple(m[s] for s in range(G.n))
+                  for m in matcher.isomorphisms_iter())
+
+
+def _seeded_systems(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        alphabet = ("a", "b")[:rng.randint(1, 2)]
+        p = rng.choice((0.05, 0.15, 0.3))
+        yield FinLTS(n, alphabet, rng.randrange(n), frozenset(
+            (s, a, t) for s in range(n) for a in alphabet for t in range(n)
+            if rng.random() < p))
+
+
+def test_automorphisms_match_permutation_oracle():
+    systems = [G for _, G in sorted(catalog_systems().items())]
+    sizes = set()
+    for G in systems + list(_seeded_systems(83, 300)):
+        got = lb.automorphisms(G)
+        assert got == _automorphisms_by_permutation(G), G
+        assert got == _automorphisms_by_vf2(G), G
+        sizes.add(len(got))
+    assert max(sizes) > 2, sizes
 
 
 def test_symmetry_hom_kernel_image():

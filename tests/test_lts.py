@@ -136,6 +136,29 @@ def test_make_lts_names():
     assert G.state("t") == 1
     with pytest.raises(KeyError):
         G.state("zz")
+    # a repeated name would be two states to the edges and one to state()
+    with pytest.raises(ValueError, match="repeated state name 'p'"):
+        make_lts(["p", "q", "p"], ("c",), "p", [("p", "c", "q")])
+    with pytest.raises(ParseError):
+        from_json('{"states": ["p", "q", "p"], "alphabet": ["c"], '
+                  '"root": "p", "transitions": [["p", "c", "q"]]}')
+
+
+def test_spectrum_budget_caps_each_search(monkeypatch):
+    from spectrumlab import equivalences as eq
+    from spectrumlab import geometry as geo
+    from spectrumlab.lts import BudgetExceeded
+    hub, two = catalog("hubSpokes"), catalog("twoCycle")
+    searches = (lambda: enumerate_homs(fan(2), fan(2)),
+                lambda: geo.eval_sequent(catalog("diamond"),
+                                         geo.named_sigma("det")),
+                lambda: eq.functional_bisim_search(hub, two))
+    for search in searches:
+        search()  # fits the default budget
+    monkeypatch.setenv("SPECTRUM_BUDGET", "7")
+    for search in searches:
+        with pytest.raises(BudgetExceeded, match=r"limit 7$"):
+            search()
 
 
 # ---------------------------------------------------------------------------

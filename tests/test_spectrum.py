@@ -125,13 +125,6 @@ def test_downset_lattice_recovers_poset():
     assert D.is_distributive()
 
 
-def test_automorphisms_identity_present():
-    named = list(sp.NAMED_VECTORS.values())
-    D = sp.downset_lattice(named[:4], sp.vec_leq)
-    autos = D.automorphisms()
-    assert {x: x for x in D.elements} in autos
-
-
 # The 2^|P| subset filter downset_lattice used before it took unions of
 # principal downsets: its oracle.
 
