@@ -276,15 +276,14 @@ def cmd_lindenbaum(args):
         payload["nuclei"] = len(nuclei)
         lines.append("nuclei: %d" % len(nuclei))
     if args.symmetry:
-        hom = lb.symmetry_hom(G)
         dich = lb.kernel_dichotomy_check(G)
-        autos = hom["automorphisms"]
-        payload.update({"automorphisms": len(autos),
-                        "kernel": hom["kernel_size"],
-                        "image": hom["image_size"],
+        payload.update({"automorphisms": dich["group_size"],
+                        "kernel": dich["kernel_size"],
+                        "image": dich["image_size"],
                         "dichotomy": dich["verdict"]})
         lines.append("automorphisms: %d, kernel: %d, image: %d"
-                     % (len(autos), hom["kernel_size"], hom["image_size"]))
+                     % (dich["group_size"], dich["kernel_size"],
+                        dich["image_size"]))
         lines.append("kernel dichotomy: %s (structural reading agrees: %s)"
                      % (dich["verdict"], dich["agree"]))
     _emit(args, payload, lines)

@@ -9,7 +9,7 @@ choice of disjunct in the witness construction and is rejected up front.
 import itertools
 from dataclasses import dataclass
 
-from .hml import (And, Diamond, Top, TOP, depth, holds, in_fragment, labels_of,
+from .hml import (And, Diamond, Top, depth, holds, in_fragment, labels_of,
                   require_labels, satisfies)
 from .lts import (BudgetExceeded, FinLTS, Homomorphism, catalog_systems,
                   enumerate_homs)
@@ -95,7 +95,10 @@ def heyting_implication_presheaf(G, v, phi, psi):
 # realizing phi: positive formulas transfer forward along homomorphisms, so
 # dropping unused states and edges keeps phi true and psi false.  The oracle
 # therefore enumerates state partitions of G and, on each quotient, every way
-# of realizing phi by added edges (to existing or fresh states).
+# of realizing phi by added edges (to existing or fresh states).  A
+# realization is a pair (n, edges), edge (s, a, t) being bit offsets[s, a] + t
+# of edges.  Its answer depends only on the pair, so a partition's distinct
+# pairs are collected in a set, and a T/&/<> evaluator decides psi on each.
 
 
 def _partitions(items):
@@ -109,41 +112,42 @@ def _partitions(items):
         yield [[head]] + part
 
 
-def _quotient_by(G, blocks):
-    cls = {}
-    for i, block in enumerate(blocks):
-        for s in block:
-            cls[s] = i
-    trans = frozenset((cls[s], a, cls[t]) for (s, a, t) in G.transitions)
-    H = FinLTS(len(blocks), G.alphabet, cls[G.root], trans)
-    return H, cls
-
-
-def _realizations(H, s, phi, max_states):
-    """All systems obtained from H by adding edges (and at most
-    max_states - |H| fresh states) so that phi holds at s."""
+def _realize(reals, s, phi, offsets, max_states):
+    """The distinct pairs made from each (n, edges) in reals by adding edges,
+    and fresh states up to max_states, so that phi holds at s."""
     if isinstance(phi, Top):
-        yield H
-        return
+        return reals
     if isinstance(phi, And):
-        for H1 in _realizations(H, s, phi.left, max_states):
-            for H2 in _realizations(H1, s, phi.right, max_states):
-                yield H2
-        return
-    if isinstance(phi, Diamond):
-        for t in range(H.n):
-            H1 = FinLTS(H.n, H.alphabet, H.root,
-                        H.transitions | {(s, phi.label, t)})
-            for H2 in _realizations(H1, t, phi.body, max_states):
-                yield H2
-        if H.n < max_states:
-            w = H.n
-            H1 = FinLTS(H.n + 1, H.alphabet, H.root,
-                        H.transitions | {(s, phi.label, w)})
-            for H2 in _realizations(H1, w, phi.body, max_states):
-                yield H2
-        return
-    raise TypeError(phi)
+        left = _realize(reals, s, phi.left, offsets, max_states)
+        return _realize(left, s, phi.right, offsets, max_states)
+    row = offsets[s, phi.label]
+    groups = [set() for _ in range(max_states)]
+    for n, edges in reals:
+        for t in range(n):
+            groups[t].add((n, edges | 1 << row + t))
+        if n < max_states:  # a fresh state n
+            groups[n].add((n + 1, edges | 1 << row + n))
+    out = set()
+    for t, group in enumerate(groups):
+        if group:
+            out |= _realize(group, t, phi.body, offsets, max_states)
+    return out
+
+
+def _holds_in(n, edges, s, psi, offsets):
+    """psi (in the T/&/<> fragment) at state s of the pair (n, edges)."""
+    if isinstance(psi, Top):
+        return True
+    if isinstance(psi, And):
+        return (_holds_in(n, edges, s, psi.left, offsets)
+                and _holds_in(n, edges, s, psi.right, offsets))
+    succ = edges >> offsets[s, psi.label] & (1 << n) - 1
+    while succ:  # the label's successors of s, lowest first
+        low = succ & -succ
+        if _holds_in(n, edges, low.bit_length() - 1, psi.body, offsets):
+            return True
+        succ ^= low
+    return False
 
 
 def brute_force_implication(G, v, phi, psi, size_bound):
@@ -156,13 +160,17 @@ def brute_force_implication(G, v, phi, psi, size_bound):
                              MAX_BRUTE_STATES)
     max_states = size_bound + diamond_count(phi)
     # every realization shares G's alphabet, which psi was checked against
+    pairs = itertools.product(range(max_states), G.alphabet)
+    offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
     for blocks in _partitions(list(range(G.n))):
         if len(blocks) > size_bound:
             continue
-        H0, cls = _quotient_by(G, blocks)
-        anchor = cls[v]
-        for H in _realizations(H0, anchor, phi, max_states):
-            if not holds(H, anchor, psi):
+        cls = {s: i for i, block in enumerate(blocks) for s in block}
+        base = sum({1 << offsets[cls[s], a] + cls[t]
+                    for (s, a, t) in G.transitions})
+        for n, edges in _realize({(len(blocks), base)}, cls[v], phi,
+                                 offsets, max_states):
+            if not _holds_in(n, edges, cls[v], psi, offsets):
                 return False
     return True
 
@@ -209,14 +217,9 @@ def monotonicity_check(phi):
     S = Subfunctor(phi)
     systems = [g for g in catalog_systems().values()
                if labels_of(phi) <= set(g.alphabet)]
-    for G in systems:
-        for H in systems:
-            if set(G.alphabet) != set(H.alphabet):
-                continue
-            for h in enumerate_homs(G, H):
-                if not monotone_along(S, h):
-                    return False
-    return True
+    return all(monotone_along(S, h) for G in systems for H in systems
+               if set(G.alphabet) == set(H.alphabet)
+               for h in enumerate_homs(G, H))
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +228,8 @@ def monotonicity_check(phi):
 
 def default_sample(phi, psi):
     need = labels_of(phi) | labels_of(psi)
-    sample = []
-    for name in sorted(catalog_systems()):
-        G = catalog_systems()[name]
-        if need <= set(G.alphabet):
-            sample.extend((G, v) for v in range(G.n))
-    return sample
+    return [(G, v) for _, G in sorted(catalog_systems().items())
+            if need <= set(G.alphabet) for v in range(G.n)]
 
 
 def _conjuncts(psi):

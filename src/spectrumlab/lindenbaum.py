@@ -156,7 +156,7 @@ def automorphisms(G):
 # the symmetry homomorphism
 
 
-def induced_lattice_map(G, lind, sigma):
+def induced_lattice_map(lind, sigma):
     """A state permutation acts on atoms, hence on models, hence on the
     up-set lattice; returns the element map as a dict."""
     image = {m: frozenset((a, sigma[s], sigma[t]) for (a, s, t) in m)
@@ -179,7 +179,7 @@ def symmetry_hom(G):
     identity = {x: x for x in lind.lattice.elements}
     entries = []
     for sigma in autos:
-        induced = induced_lattice_map(G, lind, sigma)
+        induced = induced_lattice_map(lind, sigma)
         entries.append((sigma, induced))
     kernel = [sigma for (sigma, ind) in entries if ind == identity]
     image = {frozenset(ind.items()) for (_, ind) in entries}
@@ -197,7 +197,7 @@ def is_group_hom(G):
     """Compatibility with composition and identity, on all pairs."""
     lind = lindenbaum(G)
     autos = automorphisms(G)
-    ind = {sigma: induced_lattice_map(G, lind, sigma) for sigma in autos}
+    ind = {sigma: induced_lattice_map(lind, sigma) for sigma in autos}
     identity = tuple(range(G.n))
     if ind[identity] != {x: x for x in lind.lattice.elements}:
         return False
@@ -212,7 +212,8 @@ def is_group_hom(G):
 
 def kernel_dichotomy_check(G):
     """Kernel of the symmetry homomorphism is trivial or everything, matching
-    the structural nondeterminism predicate."""
+    the structural nondeterminism predicate; also the group's order and the
+    image's size, so that a caller needs no second search."""
     if reachable_states(G) != set(range(G.n)):
         raise ValueError("precondition: all states must be reachable from the root")
     hom = symmetry_hom(G)
@@ -227,5 +228,5 @@ def kernel_dichotomy_check(G):
     agree = (structural == verdict
              or (kernel_size == 1 and group_size == 1))
     return {"kernel_size": kernel_size, "group_size": group_size,
-            "dichotomy": dichotomy, "structural": structural,
-            "verdict": verdict, "agree": agree}
+            "image_size": hom["image_size"], "dichotomy": dichotomy,
+            "structural": structural, "verdict": verdict, "agree": agree}

@@ -288,7 +288,10 @@ def enumerate_homs(T, G):
                 rec(k + 1)
                 del assignment[s]
 
-    rec(0)
+    try:
+        rec(0)
+    finally:
+        rec = None  # rec reaches itself through this cell: break the cycle
     results.sort(key=lambda h: h.mapping)
     return results
 

@@ -150,6 +150,19 @@ class SetLattice(FiniteDistributiveLattice):
     join = staticmethod(operator.or_)
     leq = staticmethod(operator.le)
 
+    def join_irreducibles(self):
+        """The distinct non-bottom sets ⋂{x : p ∈ x}, one for each point p
+        of the top, in element order: each set is the union of these below
+        it, and each of them lies inside any union containing its p."""
+        if not hasattr(self, "_ji"):
+            least = {}
+            for x in self.elements:
+                for p in x:
+                    least[p] = least[p] & x if p in least else x
+            found = set(least.values()) - {self.bottom}
+            self._ji = [x for x in self.elements if x in found]
+        return self._ji
+
 
 # ---------------------------------------------------------------------------
 # closure of the named vectors

@@ -87,6 +87,18 @@ def test_lindenbaum(capsys):
     assert payload["kernel"] == 1 and payload["image"] == 2
 
 
+def test_lindenbaum_symmetry_searches_once(capsys, monkeypatch):
+    from spectrumlab import lindenbaum as lb
+    calls = []
+    search = lb.automorphisms
+    monkeypatch.setattr(lb, "automorphisms",
+                        lambda G: calls.append(G) or search(G))
+    code, out, _ = run(capsys, "lindenbaum", "twoCycle", "--symmetry")
+    assert code == 0 and len(calls) == 1
+    assert "automorphisms: 2, kernel: 2, image: 1" in out
+    assert "kernel dichotomy: maximal (structural reading agrees: True)" in out
+
+
 def test_topology(capsys):
     code, out, _ = run(capsys, "topology", "matrix", "fan(2)")
     assert code == 0 and "covering" in out

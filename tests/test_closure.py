@@ -1,8 +1,15 @@
+import itertools
+import random
+
 import pytest
 
 from spectrumlab import closure as cl
-from spectrumlab.hml import parse_formula, satisfies
-from spectrumlab.lts import BudgetExceeded, catalog, trace_lts
+from spectrumlab import report
+from spectrumlab.closure import (MAX_BRUTE_STATES, _partitions,
+                                 _require_fragment, diamond_count)
+from spectrumlab.hml import (And, Diamond, Top, TOP, holds, parse_formula,
+                             satisfies)
+from spectrumlab.lts import BudgetExceeded, FinLTS, catalog, trace_lts
 
 
 def P(text):
@@ -58,6 +65,135 @@ def test_oracle_agrees_on_catalog():
                 imp = cl.heyting_implication_presheaf(G, v, phi, psi)
                 oracle = cl.brute_force_implication(G, v, phi, psi, G.n + 2)
                 assert imp == oracle, (name, v, f1, f2)
+
+
+# The oracle as it was before realizations became (n, edges) pairs: one
+# validated FinLTS per realization, decided by hml.holds.
+
+
+def _quotient_by(G, blocks):
+    cls = {}
+    for i, block in enumerate(blocks):
+        for s in block:
+            cls[s] = i
+    trans = frozenset((cls[s], a, cls[t]) for (s, a, t) in G.transitions)
+    H = FinLTS(len(blocks), G.alphabet, cls[G.root], trans)
+    return H, cls
+
+
+def _realizations(H, s, phi, max_states):
+    """All systems obtained from H by adding edges (and at most
+    max_states - |H| fresh states) so that phi holds at s."""
+    if isinstance(phi, Top):
+        yield H
+        return
+    if isinstance(phi, And):
+        for H1 in _realizations(H, s, phi.left, max_states):
+            for H2 in _realizations(H1, s, phi.right, max_states):
+                yield H2
+        return
+    if isinstance(phi, Diamond):
+        for t in range(H.n):
+            H1 = FinLTS(H.n, H.alphabet, H.root,
+                        H.transitions | {(s, phi.label, t)})
+            for H2 in _realizations(H1, t, phi.body, max_states):
+                yield H2
+        if H.n < max_states:
+            w = H.n
+            H1 = FinLTS(H.n + 1, H.alphabet, H.root,
+                        H.transitions | {(s, phi.label, w)})
+            for H2 in _realizations(H1, w, phi.body, max_states):
+                yield H2
+        return
+    raise TypeError(phi)
+
+
+def _brute_force_by_systems(G, v, phi, psi, size_bound):
+    """Necessary bounded check of the universally quantified implication;
+    independent of the free-extension construction."""
+    _require_fragment(phi, G)
+    _require_fragment(psi, G)
+    if G.n > MAX_BRUTE_STATES:
+        raise BudgetExceeded("exhaustive oracle", G.n, "base states",
+                             MAX_BRUTE_STATES)
+    max_states = size_bound + diamond_count(phi)
+    # every realization shares G's alphabet, which psi was checked against
+    for blocks in _partitions(list(range(G.n))):
+        if len(blocks) > size_bound:
+            continue
+        H0, cls = _quotient_by(G, blocks)
+        anchor = cls[v]
+        for H in _realizations(H0, anchor, phi, max_states):
+            if not holds(H, anchor, psi):
+                return False
+    return True
+
+
+def _random_case(rng):
+    """Shaped like criterion 11's seeded cases, kept cheap: at most 3
+    states, and an antecedent of at most 4 diamonds (criterion 11's
+    generator reaches 19, where the FinLTS oracle takes minutes)."""
+    n = rng.randint(1, 3)
+    trans = frozenset((s, a, t) for s in range(n) for a in "ab"
+                      for t in range(n) if rng.random() < 0.3)
+    phi = _random_formula(rng, 2)
+    while diamond_count(phi) > 4:
+        phi = _random_formula(rng, 2)
+    return (FinLTS(n, ("a", "b"), 0, trans), rng.randrange(n), phi,
+            _random_formula(rng, 2))
+
+
+def _random_formula(rng, depth):
+    if depth == 0 or rng.random() < 0.3:
+        return TOP
+    if rng.random() < 0.6:
+        return Diamond(rng.choice("ab"), _random_formula(rng, depth - 1))
+    return And(_random_formula(rng, depth), _random_formula(rng, depth))
+
+
+def _decode(edges, offsets, max_states):
+    return frozenset((s, a, t) for (s, a), off in offsets.items()
+                     for t in range(max_states) if edges >> off + t & 1)
+
+
+def test_oracle_matches_system_oracle():
+    """Verdicts, and per partition the distinct realizations and the value
+    of psi on each, against the FinLTS oracle.  At size bound |G| the state
+    cap binds on the discrete partition; at 1 the partition filter drops
+    all others.  Realizations are encoded with a shuffled edge layout, so
+    only _realize's offsets contract is relied on."""
+    cases = [(G, v, P(p), P(q)) for (p, q, _) in report._REGIME_TABLE
+             for G in (catalog("Q"), catalog("P_abc")) for v in range(G.n)]
+    rng = random.Random(20260311)
+    cases += [_random_case(rng) for _ in range(300)]
+    verdicts, repeats = set(), 0
+    for G, v, phi, psi in cases:
+        for size_bound in (G.n + 2, G.n, 1):
+            verdict = cl.brute_force_implication(G, v, phi, psi, size_bound)
+            assert verdict == _brute_force_by_systems(G, v, phi, psi,
+                                                      size_bound)
+            verdicts.add(verdict)
+        for size_bound in (G.n + 2, G.n):
+            max_states = size_bound + diamond_count(phi)
+            pairs = list(itertools.product(range(max_states), G.alphabet))
+            rng.shuffle(pairs)
+            offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
+            for blocks in _partitions(list(range(G.n))):
+                H0, cls = _quotient_by(G, blocks)
+                base = sum(1 << offsets[s, a] + t
+                           for (s, a, t) in H0.transitions)
+                got = {(n, _decode(edges, offsets, max_states)): edges
+                       for n, edges in cl._realize({(H0.n, base)}, cls[v],
+                                                   phi, offsets, max_states)}
+                systems = list(_realizations(H0, cls[v], phi, max_states))
+                assert set(got) == {(H.n, H.transitions) for H in systems}
+                repeats += len(systems) - len(got)
+                for H in systems:
+                    edges = got[H.n, H.transitions]
+                    assert cl._holds_in(H.n, edges, cls[v], psi, offsets) \
+                        == holds(H, cls[v], psi)
+    assert verdicts == {True, False}
+    assert repeats > 0
 
 
 def test_oracle_budget():

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import types
 
 import pytest
 
@@ -159,6 +161,32 @@ def test_spectrum_budget_caps_each_search(monkeypatch):
     for search in searches:
         with pytest.raises(BudgetExceeded, match=r"limit 7$"):
             search()
+
+
+def test_enumerate_homs_leaves_no_cycle(monkeypatch):
+    """With the cyclic collector off, nothing of the search outlives a call:
+    neither after it returns nor after it runs out of budget."""
+    from spectrumlab.lts import BudgetExceeded
+
+    def leftovers():
+        return [o for o in gc.get_objects()
+                if isinstance(o, types.FunctionType)
+                and o.__module__ == "spectrumlab.lts"
+                and o.__qualname__.startswith("enumerate_homs.<locals>.")]
+
+    gc.collect()
+    gc.disable()
+    try:
+        assert enumerate_homs(fan(2), fan(2))
+        assert leftovers() == []
+        monkeypatch.setenv("SPECTRUM_BUDGET", "7")
+        try:
+            enumerate_homs(fan(2), fan(2))
+        except BudgetExceeded:
+            pass
+        assert leftovers() == []
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

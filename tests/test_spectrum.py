@@ -214,3 +214,21 @@ def test_irreducibles_match_pair_scan():
         assert L.meet_irreducibles() == _meet_irreducibles(L), name
         sizes.append(len(L.elements))
     assert max(sizes) >= 48 and min(sizes) <= 2
+
+
+def test_set_lattice_join_irreducibles_match_below_join_rule():
+    """SetLattice's per-point intersections against the inherited "not the
+    join of everything strictly below" rule, run on a fresh copy (the rule
+    caches its answer on the lattice)."""
+    cases = [(name, lb.lindenbaum(G).lattice)
+             for name, G in sorted(catalog_systems().items()) if name != "U"]
+    cases += [("downset", sp.downset_lattice(elems, leq))
+              for elems, leq in _random_posets()]
+    # the same lattices over a non-empty bottom
+    cases += [(name + "+z", sp.SetLattice(x | {"z"} for x in L.elements))
+              for name, L in cases[-20:]]
+    for name, L in cases:
+        inherited = sp.FiniteDistributiveLattice.join_irreducibles(
+            sp.SetLattice(L.elements))
+        assert L.join_irreducibles() == inherited, name
+    assert max(len(L.elements) for _, L in cases) >= 48
