@@ -52,30 +52,27 @@ def free_extension(G, v, phi):
     that the formula holds at the image of v by construction."""
     _require_fragment(phi, G)
     trans = set(G.transitions)
-    fresh = []
     names = [G.name_of(i) for i in range(G.n)]
-
-    def build(anchor, psi):
-        if isinstance(psi, Top):
-            return
-        if isinstance(psi, And):
-            build(anchor, psi.left)
-            build(anchor, psi.right)
-            return
-        if isinstance(psi, Diamond):
-            w = G.n + len(fresh)
-            fresh.append(w)
-            names.append("w%d" % len(fresh))
-            trans.add((anchor, psi.label, w))
-            build(w, psi.body)
-            return
-        raise TypeError(psi)
-
-    build(v, phi)
-    ext = FinLTS(G.n + len(fresh), G.alphabet, G.root, frozenset(trans),
+    _adjoin(G.n, v, phi, trans, names)
+    ext = FinLTS(len(names), G.alphabet, G.root, frozenset(trans),
                  tuple(names))
     inclusion = Homomorphism(G, ext, tuple(range(G.n)))
-    return FreeExtension(ext, inclusion, frozenset(fresh))
+    return FreeExtension(ext, inclusion, frozenset(range(G.n, len(names))))
+
+
+def _adjoin(n, anchor, psi, trans, names):
+    """For each diamond of psi at anchor, a fresh state named w1, w2, ...
+    after the n base states and the edge to it, then its body there."""
+    if isinstance(psi, And):
+        _adjoin(n, anchor, psi.left, trans, names)
+        _adjoin(n, anchor, psi.right, trans, names)
+    elif isinstance(psi, Diamond):
+        w = len(names)
+        names.append("w%d" % (w - n + 1))
+        trans.add((anchor, psi.label, w))
+        _adjoin(n, w, psi.body, trans, names)
+    elif not isinstance(psi, Top):
+        raise TypeError(psi)
 
 
 def heyting_implication_presheaf(G, v, phi, psi):

@@ -1,4 +1,10 @@
-"""Decision procedures for behavioral equivalences between finite systems."""
+"""Decision procedures for behavioral equivalences between finite systems.
+
+State sets are int masks.  Simulation cuts one mask of N-states per M-state
+to a fixpoint; bisimulation is signature partition refinement on the
+disjoint union (Kanellakis & Smolka 1990); trace and failures walk the
+product of the subset constructions on the fly, up to union (Bonchi & Pous
+2013)."""
 
 from dataclasses import dataclass
 
@@ -10,127 +16,161 @@ LEVELS = ("enabledness", "trace", "failures", "simulation",
           "readySimulation", "bisimulation")
 
 
+def _label_masks(G, back=False):
+    """label -> per-state mask of a-successors (a-predecessors with back)."""
+    masks = {}
+    for (s, a, t) in G.transitions:
+        if back:
+            s, t = t, s
+        masks.setdefault(a, [0] * G.n)[s] |= 1 << t
+    return masks
+
+
+def _image(col, mask):
+    """Union of col[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        out |= col[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return out
+
+
 # ---------------------------------------------------------------------------
-# relational fixpoints: one refinement loop for the simulation family
+# simulation family: row s of a relation is the mask of the t related to s
 
 
-def _all_pairs(M, N):
-    return {(s, t) for s in range(M.n) for t in range(N.n)}
-
-
-def _refine(M, N, rel, back=False):
-    """Greatest relation inside rel where every move of s is matched from t
-    inside the relation (and, with back, every move of t from s)."""
-    rel = set(rel)
-
-    def forth(s, t):
-        nt = N.moves(t)
-        return all(any((s2, t2) in rel for t2 in nt.get(a, ()))
-                   for a, succ in M.moves(s).items() for s2 in succ)
-
-    def backward(s, t):
-        ms = M.moves(s)
-        return all(any((s2, t2) in rel for s2 in ms.get(a, ()))
-                   for a, succ in N.moves(t).items() for t2 in succ)
-
-    changed = True
-    while changed:
-        changed = False
-        for (s, t) in list(rel):
-            if not forth(s, t) or (back and not backward(s, t)):
-                rel.discard((s, t))
-                changed = True
-    return frozenset(rel)
+def _simulation(M, N, rows, rounds=None):
+    """Keep t in row s only if t matches each move s -a-> s2 by an a-move
+    into rows[s2]: in place to the greatest fixpoint (each round but the
+    last removes a pair), or for the given number of synchronous rounds."""
+    pre = _label_masks(N, back=True)
+    for _ in range(M.n * N.n + 1 if rounds is None else rounds):
+        old = list(rows)
+        cur = rows if rounds is None else old
+        for s in range(M.n):
+            row = cur[s]
+            for a, succ in M.moves(s).items():
+                pa = pre.get(a)
+                for s2 in succ:
+                    row &= _image(pa, cur[s2]) if pa else 0
+            rows[s] = row
+        if rows == old:
+            break
+    return rows
 
 
 def simulation_preorder(M, N, seed=None):
     """Greatest simulation relation (inside seed, when given): (s,t) kept iff
     every move of s is matched from t inside the relation."""
-    return _refine(M, N, _all_pairs(M, N) if seed is None else seed)
+    rows = [(1 << N.n) - 1 if seed is None else 0] * M.n
+    for (s, t) in seed or ():
+        rows[s] |= 1 << t
+    rows = _simulation(M, N, rows)
+    return frozenset((s, t) for s in range(M.n) for t in range(N.n)
+                     if rows[s] >> t & 1)
 
 
 def similar(M, N):
-    return (M.root, N.root) in simulation_preorder(M, N)
+    return d_simulates(M, N, None)
 
 
 def mutually_similar(M, N):
     return similar(M, N) and similar(N, M)
 
 
-def greatest_bisimulation(M, N):
-    return _refine(M, N, _all_pairs(M, N), back=True)
+def d_simulates(M, N, d):
+    """d-round bounded simulation of root_M by root_N: d synchronous rounds
+    of the simulation step from all pairs (to the fixpoint when d is None)."""
+    rows = _simulation(M, N, [(1 << N.n) - 1] * M.n, d)
+    return rows[M.root] >> N.root & 1 == 1
 
 
-def bisimilar(M, N):
-    """Witness bisimulation containing the root pair (restricted to pairs
-    reachable from it through synchronized moves), or None."""
-    gb = greatest_bisimulation(M, N)
-    if (M.root, N.root) not in gb:
-        return None
-    seen = {(M.root, N.root)}
-    frontier = [(M.root, N.root)]
-    while frontier:
-        (s, t) = frontier.pop()
-        nt = N.moves(t)
-        for a, succ in M.moves(s).items():
-            for s2 in succ:
-                for t2 in nt.get(a, ()):
-                    if (s2, t2) in gb and (s2, t2) not in seen:
-                        seen.add((s2, t2))
-                        frontier.append((s2, t2))
-    return frozenset(seen)
+def d_equivalent(M, N, d):
+    """Roots satisfy the same diamond-only modal formulas of depth <= d,
+    computed as mutual d-round bounded simulation."""
+    return d_simulates(M, N, d) and d_simulates(N, M, d)
 
 
 def ready_sim_equivalent(M, N):
     """Mutual greatest simulation seeded with equal enabled-label sets."""
     def ready_sim(A, B):
-        seed = {(s, t) for s in range(A.n) for t in range(B.n)
-                if A.enabled(s) == B.enabled(t)}
-        return (A.root, B.root) in _refine(A, B, seed)
+        same = {}
+        for t in range(B.n):
+            same[B.enabled(t)] = same.get(B.enabled(t), 0) | 1 << t
+        rows = [same.get(A.enabled(s), 0) for s in range(A.n)]
+        return _simulation(A, B, rows)[A.root] >> B.root & 1 == 1
     return ready_sim(M, N) and ready_sim(N, M)
 
 
-# ---------------------------------------------------------------------------
-# trace-style equivalences via subset construction
+def _bisim_blocks(M, N):
+    """Block of each state of M then N in the coarsest stable partition of
+    their union; each round splits blocks by the (label, block) moves."""
+    out = [[(a, off + y) for a, ys in G.moves(s).items() for y in ys]
+           for G, off in ((M, 0), (N, M.n)) for s in range(G.n)]
+    block, count = [0] * len(out), 1
+    while True:
+        ids = {}
+        new = [ids.setdefault((block[x], frozenset((a, block[y])
+                                                   for a, y in moves)),
+                              len(ids)) for x, moves in enumerate(out)]
+        if len(ids) == count:
+            return block
+        block, count = new, len(ids)
+
+
+def greatest_bisimulation(M, N):
+    block = _bisim_blocks(M, N)
+    return frozenset((s, t) for s in range(M.n) for t in range(N.n)
+                     if block[s] == block[M.n + t])
+
+
+def bisimilar(M, N):
+    """Witness bisimulation containing the root pair (restricted to pairs
+    reachable from it through synchronized moves), or None."""
+    block = _bisim_blocks(M, N)
+    seen, todo = set(), [(M.root, N.root)]
+    while todo:
+        (s, t) = todo.pop()
+        if block[s] == block[M.n + t] and (s, t) not in seen:
+            seen.add((s, t))
+            todo.extend((s2, t2) for a, succ in M.moves(s).items()
+                        for s2 in succ for t2 in N.moves(t).get(a, ()))
+    return frozenset(seen) if seen else None
 
 
 def determinize(G):
     """Subset-construction automaton: dict subset -> {label: subset}."""
     start = frozenset([G.root])
-    table = {}
-    queue = [start]
+    table, queue = {}, [start]
     while queue:
         cur = queue.pop()
-        if cur in table:
-            continue
-        row = {}
-        for a in G.alphabet:
-            nxt = frozenset(t for s in cur for t in G.moves(s).get(a, ()))
-            if nxt:
-                row[a] = nxt
-                queue.append(nxt)
-        table[cur] = row
+        if cur not in table:
+            table[cur] = {a: nxt for a in G.alphabet if (nxt := frozenset(
+                t for s in cur for t in G.moves(s).get(a, ())))}
+            queue.extend(table[cur].values())
     return start, table
 
 
 def _subset_walk(M, N, key):
     """Walk the product of the two subset constructions from the root pair;
-    False at the first subset pair whose enabled labels or key(G, subset)
-    differ."""
-    sM, dM = determinize(M)
-    sN, dN = determinize(N)
-    seen = {(sM, sN)}
-    queue = [(sM, sN)]
-    while queue:
-        (u, v) = queue.pop()
-        ru, rv = dM[u], dN[v]
+    False at the first pair of state masks whose enabled labels or key(G,
+    mask) differ.  A union of checked pairs is skipped: both observations
+    are unions over states (bisimulation up to union)."""
+    succ_m, succ_n = _label_masks(M), _label_masks(N)
+    done, todo = [], [(1 << M.root, 1 << N.root)]
+    for (u, v) in todo:  # breadth first: the loop reaches what is appended
+        ju = jv = 0
+        for (x, y) in done:
+            if not (x & ~u or y & ~v):
+                ju, jv = ju | x, jv | y
+        if ju == u and jv == v:
+            continue
+        ru = {a: m for a, col in succ_m.items() if (m := _image(col, u))}
+        rv = {a: m for a, col in succ_n.items() if (m := _image(col, v))}
         if ru.keys() != rv.keys() or key(M, u) != key(N, v):
             return False
-        for a in ru:
-            nxt = (ru[a], rv[a])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
+        done.append((u, v))
+        todo.extend((ru[a], rv[a]) for a in ru)
     return True
 
 
@@ -162,9 +202,9 @@ def enabledness_equivalent(M, N):
 
 
 def _minimal_enabled(G, S):
-    """Inclusion-minimal enabled sets over the states of S: after a trace
-    reaching S, X is refused iff X misses one of them."""
-    sets = {G.enabled(s) for s in S}
+    """Inclusion-minimal enabled sets over the states of mask S: after a
+    trace reaching S, X is refused iff X misses one of them."""
+    sets = {G.enabled(s) for s in range(G.n) if S >> s & 1}
     return frozenset(e for e in sets if not any(f < e for f in sets))
 
 
@@ -172,32 +212,6 @@ def failures_equivalent(M, N):
     """Failure-pair equality: traces agree and, after each trace, so do the
     minimal enabled sets, hence the refusal sets."""
     return _subset_walk(M, N, _minimal_enabled)
-
-
-# ---------------------------------------------------------------------------
-# bounded (depth-d) equivalence
-
-
-def d_simulates(M, N, d):
-    """d-round bounded simulation from (root_M) by (root_N)."""
-    memo = {}
-    def sim(s, t, k):
-        if k == 0:
-            return True
-        key = (s, t, k)
-        if key not in memo:
-            memo[key] = True  # guard; no cycles since k strictly decreases
-            nt = N.moves(t)
-            memo[key] = all(any(sim(s2, t2, k - 1) for t2 in nt.get(a, ()))
-                            for a, succ in M.moves(s).items() for s2 in succ)
-        return memo[key]
-    return sim(M.root, N.root, d)
-
-
-def d_equivalent(M, N, d):
-    """Roots satisfy the same diamond-only modal formulas of depth <= d,
-    computed as mutual d-round bounded simulation."""
-    return d_simulates(M, N, d) and d_simulates(N, M, d)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +225,7 @@ class SimPair:
     coherence: str  # "functional" or "biInterpretation"
 
 
-def _pair_search(M, N, coherent, tag):
+def _pair_search(M, N, same, tag):
     budget = enumeration_budget()
     maps = max(N.n ** M.n, M.n ** N.n)
     if maps > budget:
@@ -224,7 +238,8 @@ def _pair_search(M, N, coherent, tag):
                              "hom pairs", budget)
     for f in fwd:
         for g in bwd:
-            if coherent(M, N, f, g):
+            if (all(same(M, g(f(s)), s) for s in range(M.n))
+                    and all(same(N, f(g(t)), t) for t in range(N.n))):
                 return SimPair(f, g, tag)
     return None
 
@@ -232,10 +247,7 @@ def _pair_search(M, N, coherent, tag):
 def functional_bisim_search(M, N):
     """Simulations f: M->N, g: N->M with both round trips path-equivalent to
     the identity, or exhaustively-verified absence."""
-    def coherent(M, N, f, g):
-        return (all(path_equivalent(M, g(f(s)), s) for s in range(M.n))
-                and all(path_equivalent(N, f(g(t)), t) for t in range(N.n)))
-    return _pair_search(M, N, coherent, "functional")
+    return _pair_search(M, N, path_equivalent, "functional")
 
 
 def bi_interpretation_search(M, N):
@@ -243,10 +255,7 @@ def bi_interpretation_search(M, N):
     mutually reachable with the identity."""
     def mutual(G, u, v):
         return v in reachable_from(G, u) and u in reachable_from(G, v)
-    def coherent(M, N, f, g):
-        return (all(mutual(M, g(f(s)), s) for s in range(M.n))
-                and all(mutual(N, f(g(t)), t) for t in range(N.n)))
-    return _pair_search(M, N, coherent, "biInterpretation")
+    return _pair_search(M, N, mutual, "biInterpretation")
 
 
 def quotient_bridge_check(M, N):
@@ -257,21 +266,12 @@ def quotient_bridge_check(M, N):
     return iso_check(quotient(M), quotient(N)) is not None
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-
-
 def decide(M, N, level):
-    if level == "enabledness":
-        return enabledness_equivalent(M, N)
-    if level == "trace":
-        return trace_equivalent(M, N)
-    if level == "failures":
-        return failures_equivalent(M, N)
-    if level == "simulation":
-        return mutually_similar(M, N)
-    if level == "readySimulation":
-        return ready_sim_equivalent(M, N)
-    if level == "bisimulation":
-        return bisimilar(M, N) is not None
-    raise ValueError("unknown level: %s" % level)
+    deciders = {"enabledness": enabledness_equivalent,
+                "trace": trace_equivalent, "failures": failures_equivalent,
+                "simulation": mutually_similar,
+                "readySimulation": ready_sim_equivalent,
+                "bisimulation": lambda M, N: bisimilar(M, N) is not None}
+    if level not in deciders:
+        raise ValueError("unknown level: %s" % level)
+    return deciders[level](M, N)

@@ -184,62 +184,54 @@ _HOLDS = {
 
 def parse_formula(text):
     tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of formula")
-        if expected is not None and tok != expected:
-            raise ParseError("expected %r, got %r" % (expected, tok))
-        pos[0] += 1
-        return tok
-
-    def parse_or():
-        left = parse_and()
-        while peek() == "|":
-            take()
-            left = Or(left, parse_and())
-        return left
-
-    def parse_and():
-        left = parse_unary()
-        while peek() == "&":
-            take()
-            left = And(left, parse_unary())
-        return left
-
-    def parse_unary():
-        tok = peek()
-        if tok == "!":
-            take()
-            return Neg(parse_unary())
-        if tok == "(":
-            take()
-            inner = parse_or()
-            take(")")
-            return inner
-        if tok == "T":
-            take()
-            return TOP
-        if tok == "F":
-            take()
-            return BOT
-        if isinstance(tok, tuple) and tok[0] == "dia":
-            take()
-            return Diamond(tok[1], parse_unary())
-        if isinstance(tok, tuple) and tok[0] == "box":
-            take()
-            return Box(tok[1], parse_unary())
-        raise ParseError("unexpected token %r" % (tok,))
-
-    result = parse_or()
-    if pos[0] != len(tokens):
+    result, pos = _parse_or(tokens, 0)
+    if pos != len(tokens):
         raise ParseError("trailing input")
     return result
+
+
+# Recursive descent: each level takes the tokens and a position and returns
+# (formula, position after it).
+
+
+def _peek(tokens, pos):
+    return tokens[pos] if pos < len(tokens) else None
+
+
+def _parse_or(tokens, pos):
+    left, pos = _parse_and(tokens, pos)
+    while _peek(tokens, pos) == "|":
+        right, pos = _parse_and(tokens, pos + 1)
+        left = Or(left, right)
+    return left, pos
+
+
+def _parse_and(tokens, pos):
+    left, pos = _parse_unary(tokens, pos)
+    while _peek(tokens, pos) == "&":
+        right, pos = _parse_unary(tokens, pos + 1)
+        left = And(left, right)
+    return left, pos
+
+
+def _parse_unary(tokens, pos):
+    tok = _peek(tokens, pos)
+    if tok == "!":
+        inner, pos = _parse_unary(tokens, pos + 1)
+        return Neg(inner), pos
+    if tok == "(":
+        inner, pos = _parse_or(tokens, pos + 1)
+        if pos == len(tokens):
+            raise ParseError("unexpected end of formula")
+        if tokens[pos] != ")":
+            raise ParseError("expected %r, got %r" % (")", tokens[pos]))
+        return inner, pos + 1
+    if tok in ("T", "F"):
+        return (TOP if tok == "T" else BOT), pos + 1
+    if isinstance(tok, tuple) and tok[0] in ("dia", "box"):
+        body, pos = _parse_unary(tokens, pos + 1)
+        return (Diamond if tok[0] == "dia" else Box)(tok[1], body), pos
+    raise ParseError("unexpected token %r" % (tok,))
 
 
 def _tokenize(text):

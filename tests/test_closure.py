@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -14,6 +15,21 @@ from spectrumlab.lts import BudgetExceeded, FinLTS, catalog, trace_lts
 
 def P(text):
     return parse_formula(text)
+
+
+def test_free_extension_leaves_no_cycle():
+    """With the cyclic collector off, nothing of the construction is left
+    for it after a call (a warm-up call runs first)."""
+    G, phi = catalog("P_abc"), P("<a>(<b>T & <c>T) & <a><a>T")
+    cl.free_extension(G, 0, phi)
+    gc.collect()
+    gc.disable()
+    try:
+        ext = cl.free_extension(G, 0, phi)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(ext.witnesses) == 5
 
 
 def test_fragment_guard():

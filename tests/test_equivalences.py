@@ -257,3 +257,241 @@ def test_failures_matches_refusal_annotated_oracle(labels, other_labels):
         verdicts.add(got)
     assert verdicts == {True, False}
 
+
+# ---------------------------------------------------------------------------
+# The deciders as they were before state sets became int masks, moved here
+# as oracles: the pair-set refinement (for simulation, ready simulation and,
+# with back, bisimulation), the walk over two full determinizations, and
+# the memoised bounded-simulation recursion.  Bodies verbatim, except that
+# the recursion loses its unneeded guard line.
+
+
+def _all_pairs(M, N):
+    return {(s, t) for s in range(M.n) for t in range(N.n)}
+
+
+def _refine(M, N, rel, back=False):
+    """Greatest relation inside rel where every move of s is matched from t
+    inside the relation (and, with back, every move of t from s)."""
+    rel = set(rel)
+
+    def forth(s, t):
+        nt = N.moves(t)
+        return all(any((s2, t2) in rel for t2 in nt.get(a, ()))
+                   for a, succ in M.moves(s).items() for s2 in succ)
+
+    def backward(s, t):
+        ms = M.moves(s)
+        return all(any((s2, t2) in rel for s2 in ms.get(a, ()))
+                   for a, succ in N.moves(t).items() for t2 in succ)
+
+    changed = True
+    while changed:
+        changed = False
+        for (s, t) in list(rel):
+            if not forth(s, t) or (back and not backward(s, t)):
+                rel.discard((s, t))
+                changed = True
+    return frozenset(rel)
+
+
+def _greatest_bisimulation(M, N):
+    return _refine(M, N, _all_pairs(M, N), back=True)
+
+
+def _bisimilar(M, N):
+    """Witness bisimulation containing the root pair (restricted to pairs
+    reachable from it through synchronized moves), or None."""
+    gb = _greatest_bisimulation(M, N)
+    if (M.root, N.root) not in gb:
+        return None
+    seen = {(M.root, N.root)}
+    frontier = [(M.root, N.root)]
+    while frontier:
+        (s, t) = frontier.pop()
+        nt = N.moves(t)
+        for a, succ in M.moves(s).items():
+            for s2 in succ:
+                for t2 in nt.get(a, ()):
+                    if (s2, t2) in gb and (s2, t2) not in seen:
+                        seen.add((s2, t2))
+                        frontier.append((s2, t2))
+    return frozenset(seen)
+
+
+def _ready_sim_equivalent(M, N):
+    """Mutual greatest simulation seeded with equal enabled-label sets."""
+    def ready_sim(A, B):
+        seed = {(s, t) for s in range(A.n) for t in range(B.n)
+                if A.enabled(s) == B.enabled(t)}
+        return (A.root, B.root) in _refine(A, B, seed)
+    return ready_sim(M, N) and ready_sim(N, M)
+
+
+def _subset_walk(M, N, key):
+    """Walk the product of the two subset constructions from the root pair;
+    False at the first subset pair whose enabled labels or key(G, subset)
+    differ."""
+    sM, dM = eq.determinize(M)
+    sN, dN = eq.determinize(N)
+    seen = {(sM, sN)}
+    queue = [(sM, sN)]
+    while queue:
+        (u, v) = queue.pop()
+        ru, rv = dM[u], dN[v]
+        if ru.keys() != rv.keys() or key(M, u) != key(N, v):
+            return False
+        for a in ru:
+            nxt = (ru[a], rv[a])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return True
+
+
+def _minimal_enabled(G, S):
+    """Inclusion-minimal enabled sets over the states of S: after a trace
+    reaching S, X is refused iff X misses one of them."""
+    sets = {G.enabled(s) for s in S}
+    return frozenset(e for e in sets if not any(f < e for f in sets))
+
+
+def _d_simulates(M, N, d):
+    """d-round bounded simulation from (root_M) by (root_N)."""
+    memo = {}
+    def sim(s, t, k):
+        if k == 0:
+            return True
+        key = (s, t, k)
+        if key not in memo:
+            nt = N.moves(t)
+            memo[key] = all(any(sim(s2, t2, k - 1) for t2 in nt.get(a, ()))
+                            for a, succ in M.moves(s).items() for s2 in succ)
+        return memo[key]
+    return sim(M.root, N.root, d)
+
+
+def _sparse_lts(rng, n, labels):
+    """Zero to three moves per state, so that the subset construction stays
+    small enough for the determinizing oracle."""
+    trans = frozenset((s, rng.choice(labels), rng.randrange(n))
+                      for s in range(n) for _ in range(rng.randint(0, 3)))
+    return FinLTS(n, tuple(labels), rng.randrange(n), trans)
+
+
+def _with_unreachable(rng, G, extra):
+    """G plus extra states that only the new states' own moves reach."""
+    n = G.n + extra
+    trans = set(G.transitions)
+    for s in range(G.n, n):
+        for _ in range(rng.randint(0, 3)):
+            trans.add((s, rng.choice(G.alphabet), rng.randrange(n)))
+    return FinLTS(n, G.alphabet, G.root, frozenset(trans))
+
+
+def _relabeled(G, old, new, alphabet):
+    return FinLTS(G.n, alphabet, G.root, frozenset(
+        (s, new if a == old else a, t) for (s, a, t) in G.transitions))
+
+
+def _differential_pairs(seed, count):
+    """(kind, M, N) with at most 30 states a side: renumbered copies,
+    one-edge mutants, a label renamed into a wider alphabet, unreachable
+    states on one side, and a label with no moves on one side."""
+    rng = random.Random(seed)
+    kinds = ("copy", "mutant", "alphabet", "unreachable", "idle label")
+    for i in range(count):
+        kind = kinds[i % len(kinds)]
+        M = _sparse_lts(rng, rng.randint(1, 24), "abc"[:rng.randint(1, 3)])
+        N = _renumbered(rng, M)
+        if kind == "mutant" or rng.random() < 0.3:
+            N = _one_edge_mutant(rng, N)
+        if kind == "alphabet":
+            N = _relabeled(N, rng.choice(M.alphabet), "z",
+                           M.alphabet + ("z",))
+        elif kind == "unreachable":
+            M = _with_unreachable(rng, M, rng.randint(1, 6))
+        elif kind == "idle label":
+            N = FinLTS(N.n, N.alphabet + ("idle",), N.root, N.transitions)
+        yield kind, M, N
+
+
+def test_mask_deciders_match_the_pair_set_oracles():
+    verdicts = {level: set() for level in eq.LEVELS[1:]}
+    kinds = set()
+    for kind, M, N in _differential_pairs(21, 250):
+        kinds.add(kind)
+        ready_seed = {(s, t) for s in range(M.n) for t in range(N.n)
+                      if M.enabled(s) == N.enabled(t)}
+        assert eq.simulation_preorder(M, N) == _refine(M, N, _all_pairs(M, N))
+        assert (eq.simulation_preorder(M, N, ready_seed)
+                == _refine(M, N, ready_seed))
+        assert eq.greatest_bisimulation(M, N) == _greatest_bisimulation(M, N)
+        assert eq.bisimilar(M, N) == _bisimilar(M, N)
+        got = {"trace": eq.trace_equivalent(M, N),
+               "failures": eq.failures_equivalent(M, N),
+               "simulation": eq.mutually_similar(M, N),
+               "readySimulation": eq.ready_sim_equivalent(M, N),
+               "bisimulation": eq.bisimilar(M, N) is not None}
+        want = {"trace": _subset_walk(M, N, lambda G, S: None),
+                "failures": _subset_walk(M, N, _minimal_enabled),
+                "simulation": (M.root, N.root) in _refine(
+                    M, N, _all_pairs(M, N)) and (N.root, M.root) in _refine(
+                        N, M, _all_pairs(N, M)),
+                "readySimulation": _ready_sim_equivalent(M, N),
+                "bisimulation": _bisimilar(M, N) is not None}
+        assert got == want, kind
+        for level, v in got.items():
+            verdicts[level].add(v)
+    assert len(kinds) == 5
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+
+
+def test_bounded_simulation_matches_memoised_recursion():
+    verdicts = set()
+    for M, N in _random_pairs(14, 200, 6):
+        for d in range(5):
+            got = eq.d_simulates(M, N, d)
+            assert got == _d_simulates(M, N, d)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_depth_bounded_equivalence_matches_formula_oracle_on_seeded_pairs():
+    verdicts = set()
+    for M, N in _random_pairs(15, 200, 4):
+        for d in (1, 2):
+            got = eq.d_equivalent(M, N, d)
+            assert got == d_equivalence_oracle(M, N, d)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def _out_degree_two(rng, n):
+    """Each state gets two distinct moves over {a, b} to random targets."""
+    trans = set()
+    for s in range(n):
+        edges = set()
+        while len(edges) < 2:
+            edges.add((s, rng.choice("ab"), rng.randrange(n)))
+        trans |= edges
+    return FinLTS(n, ("a", "b"), 0, frozenset(trans))
+
+
+# level -> the weaker levels its equivalence implies
+_IMPLIES = {"bisimulation": ("readySimulation",),
+            "readySimulation": ("failures", "simulation"),
+            "failures": ("trace",), "simulation": ("trace",),
+            "trace": ("enabledness",), "enabledness": ()}
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_all_six_levels_at_one_hundred_states(seed):
+    rng = random.Random(seed)
+    G = _out_degree_two(rng, 100)
+    copy = _renumbered(rng, G)
+    assert all(eq.decide(G, copy, level) for level in eq.LEVELS)
+    mutant = _one_edge_mutant(rng, _renumbered(rng, G))
+    verdicts = {level: eq.decide(G, mutant, level) for level in eq.LEVELS}
+    assert all(verdicts[weaker] for level, holds in verdicts.items() if holds
+               for weaker in _IMPLIES[level])

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -18,6 +19,37 @@ def test_parse_print_roundtrip():
         hml.parse_formula("<a>")
     with pytest.raises(ParseError):
         hml.parse_formula("T T")
+
+
+def _cyclic_garbage_after(call):
+    """What the cyclic collector finds after call(), run with the collector
+    off; a warm-up call first keeps one-time caches out of the count."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_parse_formula_leaves_no_cycle():
+    texts = ("<a>(<b>T & !<c>T) | [a]F", "!(T & F)", "<a><b><c>T")
+    assert _cyclic_garbage_after(
+        lambda: [hml.parse_formula(text) for text in texts]) == 0
+
+
+def test_parse_error_leaves_no_cycle():
+    def parse_bad():
+        for text in ("<a>(<b>T", "(T", "T T", "&", "<a>", "(T <a>T"):
+            try:
+                hml.parse_formula(text)
+            except ParseError:
+                pass
+            else:
+                raise AssertionError(text)
+    assert _cyclic_garbage_after(parse_bad) == 0
 
 
 def test_depth_and_labels():
