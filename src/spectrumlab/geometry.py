@@ -403,74 +403,74 @@ def parse_gformula(text):
             break
         tokens.append(m.group(1))
         i = m.end()
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
-
-    def take(expected=None):
-        tok = peek()
-        if tok is None:
-            raise ParseError("unexpected end of sequent")
-        if expected is not None and tok != expected:
-            raise ParseError("expected %r, got %r" % (expected, tok))
-        pos[0] += 1
-        return tok
-
-    def term(tok):
-        if tok.startswith("c_"):
-            return Const(tok[2:])
-        return Var(tok)
-
-    def parse_or():
-        parts = [parse_and()]
-        while peek() == "|":
-            take()
-            parts.append(parse_and())
-        return parts[0] if len(parts) == 1 else Or(tuple(parts))
-
-    def parse_and():
-        left = parse_atomic()
-        while peek() == "&":
-            take()
-            left = And(left, parse_atomic())
-        return left
-
-    def parse_atomic():
-        tok = peek()
-        if tok == "(":
-            take()
-            inner = parse_or()
-            take(")")
-            return inner
-        if tok == "E":
-            take()
-            v = take()
-            take(".")
-            return Exists(v, parse_atomic())
-        if tok in PREDICATES and pos[0] + 1 < len(tokens) \
-                and tokens[pos[0] + 1] == "(":
-            take()
-            take("(")
-            t1 = term(take())
-            take(",")
-            t2 = term(take())
-            take(")")
-            return Atom(tok, t1, t2)
-        if tok == "T":
-            take()
-            return TOP
-        if tok == "F":
-            take()
-            return BOT
-        # bare term: must be an equality
-        take()
-        t1 = term(tok)
-        take("=")
-        t2 = term(take())
-        return Eq(t1, t2)
-
-    result = parse_or()
-    if pos[0] != len(tokens):
+    result, pos = _parse_or(tokens, 0)
+    if pos != len(tokens):
         raise ParseError("trailing input in sequent")
     return result
+
+
+# Recursive descent: each level takes the tokens and a position and returns
+# (formula, position after it).
+
+
+def _peek(tokens, pos):
+    return tokens[pos] if pos < len(tokens) else None
+
+
+def _take(tokens, pos, expected=None):
+    """The token at pos, which must exist and, if given, be expected."""
+    tok = _peek(tokens, pos)
+    if tok is None:
+        raise ParseError("unexpected end of sequent")
+    if expected is not None and tok != expected:
+        raise ParseError("expected %r, got %r" % (expected, tok))
+    return tok
+
+
+def _term(tok):
+    if tok.startswith("c_"):
+        return Const(tok[2:])
+    return Var(tok)
+
+
+def _parse_or(tokens, pos):
+    part, pos = _parse_and(tokens, pos)
+    parts = [part]
+    while _peek(tokens, pos) == "|":
+        part, pos = _parse_and(tokens, pos + 1)
+        parts.append(part)
+    return (parts[0] if len(parts) == 1 else Or(tuple(parts))), pos
+
+
+def _parse_and(tokens, pos):
+    left, pos = _parse_atomic(tokens, pos)
+    while _peek(tokens, pos) == "&":
+        right, pos = _parse_atomic(tokens, pos + 1)
+        left = And(left, right)
+    return left, pos
+
+
+def _parse_atomic(tokens, pos):
+    tok = _peek(tokens, pos)
+    if tok == "(":
+        inner, pos = _parse_or(tokens, pos + 1)
+        _take(tokens, pos, ")")
+        return inner, pos + 1
+    if tok == "E":
+        v = _take(tokens, pos + 1)
+        _take(tokens, pos + 2, ".")
+        body, pos = _parse_atomic(tokens, pos + 3)
+        return Exists(v, body), pos
+    if tok in PREDICATES and pos + 1 < len(tokens) \
+            and tokens[pos + 1] == "(":
+        t1 = _term(_take(tokens, pos + 2))
+        _take(tokens, pos + 3, ",")
+        t2 = _term(_take(tokens, pos + 4))
+        _take(tokens, pos + 5, ")")
+        return Atom(tok, t1, t2), pos + 6
+    if tok in ("T", "F"):
+        return (TOP if tok == "T" else BOT), pos + 1
+    # bare term: must be an equality
+    _take(tokens, pos)
+    _take(tokens, pos + 1, "=")
+    return Eq(_term(tok), _term(_take(tokens, pos + 2))), pos + 3

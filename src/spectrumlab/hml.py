@@ -259,10 +259,6 @@ def _tokenize(text):
     return tokens
 
 
-def format_formula(phi):
-    return str(phi)
-
-
 # ---------------------------------------------------------------------------
 # canonical enumeration
 #

@@ -108,13 +108,6 @@ def enumerate_nuclei(L):
     return nuclei
 
 
-def is_nucleus(L, j):
-    return (all(L.leq(x, j[x]) for x in L.elements)
-            and all(j[j[x]] == j[x] for x in L.elements)
-            and all(j[L.meet(a, b)] == L.meet(j[a], j[b])
-                    for a in L.elements for b in L.elements))
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 
@@ -133,23 +126,26 @@ def automorphisms(G):
     checks = [[] for _ in range(G.n)]  # the edges whose later end is s
     for (s, a, t) in G.transitions:
         checks[max(s, t)].append((s, a, t))
-    perm, results = [], []
-
-    def extend(s):
-        if s == G.n:
-            results.append(tuple(perm))
-            return
-        for g in range(G.n):
-            if g in perm or sig[g] != sig[s]:
-                continue
-            perm.append(g)
-            if all((perm[u], a, perm[t]) in G.transitions
-                   for (u, a, t) in checks[s]):
-                extend(s + 1)
-            perm.pop()
-
-    extend(0)
+    results = []
+    _extend_automorphism(G, sig, checks, [], results)
     return results
+
+
+def _extend_automorphism(G, sig, checks, perm, results):
+    """Give state len(perm) each image that fits and recurse; a complete
+    assignment is appended to results."""
+    s = len(perm)
+    if s == G.n:
+        results.append(tuple(perm))
+        return
+    for g in range(G.n):
+        if g in perm or sig[g] != sig[s]:
+            continue
+        perm.append(g)
+        if all((perm[u], a, perm[t]) in G.transitions
+               for (u, a, t) in checks[s]):
+            _extend_automorphism(G, sig, checks, perm, results)
+        perm.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -176,10 +176,6 @@ def reachable_from(G, s):
     return set(G._reach(s))
 
 
-def coreachable_to(G, s):
-    return set(G._reach(s, back=True))
-
-
 def reachable_states(G):
     return reachable_from(G, G.root)
 

@@ -97,14 +97,14 @@ def criterion_3():
                    for (x, y, _) in SUBTRACTION_TABLE)
     rows.append(_row("naive subtraction kills the depth slot on the table "
                      "pairs", naive_ok))
-    himp = {(a, b): L.heyting(a, b)
-            for a in L.elements for b in L.elements}
-    csub = {(x, y): L.coheyting(x, y)
-            for x in L.elements for y in L.elements}
-    hey = all(L.leq(L.meet(z, a), b) == L.leq(z, himp[(a, b)])
-              for z in L.elements for a in L.elements for b in L.elements)
-    cohey = all(L.leq(csub[(x, y)], z) == L.leq(x, L.join(y, z))
-                for x in L.elements for y in L.elements for z in L.elements)
+    # on element numbers: up[i] >> j & 1 is i <= j
+    n, up = range(len(L.elements)), L.up
+    himp = [[L.heyting_n(a, b) for b in n] for a in n]
+    csub = [[L.coheyting_n(x, y) for y in n] for x in n]
+    hey = all(up[L.meet_table[z][a]] >> b & 1 == up[z] >> himp[a][b] & 1
+              for z in n for a in n for b in n)
+    cohey = all(up[csub[x][y]] >> z & 1 == up[x] >> L.join_table[y][z] & 1
+                for x in n for y in n for z in n)
     rows.append(_row("Heyting adjunction on all triples", hey))
     rows.append(_row("co-Heyting adjunction on all triples", cohey))
     return ("Bi-Heyting structure", rows)

@@ -1,15 +1,15 @@
 """Energy vectors and the finite distributive lattice calculus.
 
 Vectors live in (N u {inf})^6; the infinite component is float('inf'), which
-absorbs max exactly.  The spectrum lattice keeps checked meet/join tables
-and answers Heyting and co-Heyting operations, negations, irreducibles and
-the Boolean core; lattices of sets (downsets of a finite poset) compute
-meet and join on demand.
-"""
+absorbs max exactly.  The spectrum lattice numbers its elements, keeps
+checked int meet/join tables and up-set bitmasks, and answers Heyting and
+co-Heyting operations, negations, irreducibles and the Boolean core on the
+numbers.  Lattices of sets (downsets of a finite poset) compute meet, join
+and order on demand and are numbered only when a method reads the tables."""
 
 import itertools
 import operator
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .lts import BudgetExceeded
 
@@ -52,39 +52,40 @@ def format_vector(v):
     return "(" + ",".join("inf" if x == INF else str(int(x)) for x in v) + ")"
 
 
-# ---------------------------------------------------------------------------
-
-
 class FiniteDistributiveLattice:
-    """Explicit finite lattice over hashable elements.
-
-    Immutable after construction; distributivity is a checkable property, not
-    an assumed one.
-    """
+    """Explicit finite lattice over hashable elements, immutable after
+    construction.  Element i of ``elements`` has number i (``index``); the
+    meet and join tables hold numbers, and bit j of ``up[i]`` is set when i
+    is below j.  The ``_n`` methods take and return numbers.  Distributivity
+    is a checkable property, not an assumed one."""
 
     def __init__(self, elements, meet, join):
         self.elements = sorted(set(elements), key=repr)
-        self._meet = {}
-        self._join = {}
-        elems = set(self.elements)
-        for a in self.elements:
-            for b in self.elements:
-                m, j = meet(a, b), join(a, b)
-                if m not in elems or j not in elems:
-                    raise ValueError("element set not closed under meet/join")
-                self._meet[(a, b)] = m
-                self._join[(a, b)] = j
-        self.bottom = reduce(self.meet, self.elements)
-        self.top = reduce(self.join, self.elements)
+        self._number(self.elements, meet, join)
+        self.bottom = self.elements[self._bot]
+        self.top = self.elements[self._top]
+
+    def _number(self, keys, meet, join):
+        n = range(len(keys))  # meet and join act on keys[i], for element i
+        self.index, code = dict(zip(self.elements, n)), dict(zip(keys, n))
+        self.meet_table, self.join_table = (
+            [[code.get(op(a, b)) for b in keys] for a in keys]
+            for op in (meet, join))
+        if any(None in row for row in self.meet_table + self.join_table):
+            raise ValueError("element set not closed under meet/join")
+        self.up = [sum(1 << j for j in n if row[j] == i)
+                   for i, row in enumerate(self.meet_table)]
+        self._bot = reduce(lambda i, j: self.meet_table[i][j], n)
+        self._top = reduce(lambda i, j: self.join_table[i][j], n)
 
     def meet(self, a, b):
-        return self._meet[(a, b)]
+        return self.elements[self.meet_table[self.index[a]][self.index[b]]]
 
     def join(self, a, b):
-        return self._join[(a, b)]
+        return self.elements[self.join_table[self.index[a]][self.index[b]]]
 
     def leq(self, a, b):
-        return self._meet[(a, b)] == a
+        return self.up[self.index[a]] >> self.index[b] & 1 == 1
 
     def lt(self, a, b):
         return a != b and self.leq(a, b)
@@ -93,54 +94,66 @@ class FiniteDistributiveLattice:
         """Non-bottom elements that are not the join of all the elements
         strictly below them (so not the join of any two of them)."""
         if not hasattr(self, "_ji"):
-            self._ji = [x for x in self.elements if x != self.bottom and reduce(
-                self.join, (a for a in self.elements if self.lt(a, x)),
-                self.bottom) != x]
+            self._ji = self._irreducibles(self.join_table, self._bot, False)
         return self._ji
 
     def meet_irreducibles(self):
         """Dually: non-top elements not the meet of all elements above."""
         if not hasattr(self, "_mi"):
-            self._mi = [x for x in self.elements if x != self.top and reduce(
-                self.meet, (a for a in self.elements if self.lt(x, a)),
-                self.top) != x]
+            self._mi = self._irreducibles(self.meet_table, self._top, True)
         return self._mi
 
+    def _irreducibles(self, table, end, dual):
+        """x != end not folded by table from the a < x (x < a when dual)."""
+        mt, n = self.meet_table, range(len(self.meet_table))
+        return [self.elements[x] for x in n if x != end and reduce(
+            lambda acc, a: table[acc][a], (a for a in n if a != x and (
+                mt[x][a] == x if dual else mt[a][x] == a)), end) != x]
+
     def is_distributive(self):
-        for a, b, c in itertools.product(self.elements, repeat=3):
-            if self.meet(a, self.join(b, c)) != \
-                    self.join(self.meet(a, b), self.meet(a, c)):
-                return False
-        return True
+        mt, jt = self.meet_table, self.join_table
+        return all(ma[jb[c]] == jt[ma[b]][ma[c]] for ma in mt
+                   for b, jb in enumerate(jt) for c in range(len(jb)))
+
+    def _join_n(self, numbers):
+        return reduce(lambda h, z: self.join_table[h][z], numbers, self._bot)
+
+    def heyting_n(self, a, b):
+        """Largest z with z & a <= b (join of all candidates)."""
+        return self._join_n(z for z, mz in enumerate(self.meet_table)
+                            if self.up[mz[a]] >> b & 1)
+
+    def coheyting_n(self, x, y):
+        """Birkhoff subtraction: join of irreducibles under x but not y."""
+        if not hasattr(self, "_jn"):
+            self._jn = [self.index[j] for j in self.join_irreducibles()]
+        return self._join_n(j for j in self._jn
+                            if self.up[j] >> x & 1 and not self.up[j] >> y & 1)
 
     def heyting(self, a, b):
-        """Largest z with z & a <= b (join of all candidates)."""
-        candidates = [z for z in self.elements if self.leq(self.meet(z, a), b)]
-        return reduce(self.join, candidates, self.bottom)
+        return self.elements[self.heyting_n(self.index[a], self.index[b])]
 
     def coheyting(self, x, y):
-        """Birkhoff subtraction: join of irreducibles under x but not y."""
-        parts = [j for j in self.join_irreducibles()
-                 if self.leq(j, x) and not self.leq(j, y)]
-        return reduce(self.join, parts, self.bottom)
+        return self.elements[self.coheyting_n(self.index[x], self.index[y])]
 
     def pseudocomplement(self, x):
-        return self.heyting(x, self.bottom)
+        return self.elements[self.heyting_n(self.index[x], self._bot)]
 
     def conegation(self, x):
-        return self.coheyting(self.top, x)
+        return self.elements[self.coheyting_n(self._top, self.index[x])]
 
     def boundary(self, x):
         return self.meet(x, self.pseudocomplement(x))
 
     def boolean_core(self):
-        return [x for x in self.elements
-                if self.pseudocomplement(self.pseudocomplement(x)) == x]
+        neg = [self.heyting_n(i, self._bot) for i in range(len(self.elements))]
+        return [x for i, x in enumerate(self.elements) if neg[neg[i]] == i]
 
 
 class SetLattice(FiniteDistributiveLattice):
     """A lattice of sets under intersection and union, given bottom first
-    and top last; meet, join and order are computed when asked."""
+    and top last.  Meet, join and order are computed when asked; the sets
+    are numbered, from & and |, the first time a method reads the tables."""
 
     def __init__(self, elements):
         self.elements = list(elements)
@@ -149,6 +162,15 @@ class SetLattice(FiniteDistributiveLattice):
     meet = staticmethod(operator.and_)
     join = staticmethod(operator.or_)
     leq = staticmethod(operator.le)
+
+    def __getattr__(self, name):
+        if name not in ("index", "meet_table", "join_table", "up", "_bot",
+                        "_top"):
+            raise AttributeError(name)
+        bit = {p: 1 << k for k, p in enumerate(self.top)}  # sets as masks
+        self._number([sum(bit[p] for p in x) for x in self.elements],
+                     operator.and_, operator.or_)
+        return getattr(self, name)
 
     def join_irreducibles(self):
         """The distinct non-bottom sets ⋂{x : p ∈ x}, one for each point p
@@ -176,12 +198,9 @@ def close_sublattice(seed):
     Provenance maps each vector to its name or first deriving expression.
     """
     current = sorted(set(seed))
-    provenance = {}
-    for v in current:
-        provenance[v] = NAME_OF_VECTOR.get(v, format_vector(v))
-    rounds = 0
-    while True:
-        rounds += 1
+    provenance = {v: NAME_OF_VECTOR.get(v, format_vector(v))
+                  for v in current}
+    for rounds in itertools.count(1):
         added = []
         for a, b in itertools.combinations(sorted(current), 2):
             for (op, sym) in ((vec_meet, "∧"), (vec_join, "∨")):
@@ -196,7 +215,9 @@ def close_sublattice(seed):
     return lattice, provenance, rounds
 
 
+@lru_cache(maxsize=None)
 def spectrum_lattice():
+    """The closure of the named vectors, built once per process."""
     return close_sublattice(NAMED_VECTORS.values())
 
 
@@ -205,34 +226,15 @@ def naive_subtraction(x, y):
     return tuple(a if a > b else 0 for a, b in zip(x, y))
 
 
-def comparability_components(L, nodes):
-    """Connected components of the comparability graph on the given nodes."""
-    nodes = list(nodes)
-    parent = {x: x for x in nodes}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in itertools.combinations(nodes, 2):
-        if L.leq(a, b) or L.leq(b, a):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    comps = {}
-    for x in nodes:
-        comps.setdefault(find(x), []).append(x)
-    return list(comps.values())
-
-
 def indecomposability_check(L):
     """Connectivity of the comparability graph on the join-irreducibles,
     and the covering relations inside them."""
     J = L.join_irreducibles()
-    comps = comparability_components(L, J)
-    # covering relations inside the J subposet
+    comps = []  # each j joins the components it is comparable with
+    for j in J:
+        near = [c for c in comps
+                if any(L.leq(j, k) or L.leq(k, j) for k in c)]
+        comps = [c for c in comps if c not in near] + [sum(near, [j])]
     jcovers = [(a, b) for a in J for b in J
                if L.lt(a, b) and not any(L.lt(a, c) and L.lt(c, b) for c in J)]
     return {"connected": len(comps) == 1, "components": len(comps),
@@ -241,11 +243,9 @@ def indecomposability_check(L):
 
 def incomparable_named_pairs():
     """Ordered pairs of distinct named vectors incomparable componentwise."""
-    out = []
-    for (na, a), (nb, b) in itertools.permutations(NAMED_VECTORS.items(), 2):
-        if not vec_leq(a, b) and not vec_leq(b, a):
-            out.append((na, nb))
-    return out
+    return [(na, nb) for (na, a), (nb, b)
+            in itertools.permutations(NAMED_VECTORS.items(), 2)
+            if not vec_leq(a, b) and not vec_leq(b, a)]
 
 
 def downset_lattice(poset_elements, leq):

@@ -1,8 +1,41 @@
+import gc
+
 import pytest
 
 from spectrumlab import geometry as geo
 from spectrumlab.hml import parse_formula
 from spectrumlab.lts import ParseError, catalog, unlabeled_catalog_systems
+
+
+def _cyclic_garbage_after(call):
+    """What the cyclic collector finds after call(), run with the collector
+    off; a warm-up call first keeps one-time caches out of the count."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_parse_gformula_leaves_no_cycle():
+    texts = ("D(x,y) & D(x,z)", "E y. (G(x,y) | x = c_q0)", "T & F")
+    assert _cyclic_garbage_after(
+        lambda: [geo.parse_gformula(text) for text in texts]) == 0
+
+
+def test_gformula_parse_error_leaves_no_cycle():
+    def parse_bad():
+        for text in ("D(x,", "(T", "x =", "E x T", "T T", "D(x y)"):
+            try:
+                geo.parse_gformula(text)
+            except ParseError:
+                pass
+            else:
+                raise AssertionError(text)
+    assert _cyclic_garbage_after(parse_bad) == 0
 
 
 def test_parse_sequent_roundtrip():

@@ -14,7 +14,7 @@ def test_parse_print_roundtrip():
              "[a]F", "!<a>T", "(<a>T & !<b>T)"]
     for text in texts:
         phi = hml.parse_formula(text)
-        assert hml.parse_formula(hml.format_formula(phi)) == phi
+        assert hml.parse_formula(str(phi)) == phi
     with pytest.raises(ParseError):
         hml.parse_formula("<a>")
     with pytest.raises(ParseError):

@@ -7,13 +7,12 @@ import pytest
 
 from spectrumlab import hml
 from spectrumlab.lts import (FinLTS, Homomorphism, ParseError, catalog,
-                             catalog_names, catalog_systems, coreachable_to,
-                             enumerate_homs, fan, fan_lts, from_json,
-                             identity_hom, iso_check, is_rooted_tree,
-                             make_lts, max_branching, parse_aut, path_digraph,
-                             path_equivalent, quotient, reachable_from,
-                             to_aut, to_json, trace_lts, tree_depth,
-                             unlabeled)
+                             catalog_names, catalog_systems, enumerate_homs,
+                             fan, fan_lts, from_json, identity_hom, iso_check,
+                             is_rooted_tree, make_lts, max_branching,
+                             parse_aut, path_digraph, path_equivalent,
+                             quotient, reachable_from, to_aut, to_json,
+                             trace_lts, tree_depth, unlabeled)
 
 
 def test_validation():
@@ -290,6 +289,12 @@ def _coreachable_to(G, s):
                 seen.add(v)
                 frontier.append(v)
     return seen
+
+
+def coreachable_to(G, s):
+    """The memoised backward reach set, copied as reachable_from copies the
+    forward one."""
+    return set(G._reach(s, back=True))
 
 
 def _random_system(rng):

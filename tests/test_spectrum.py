@@ -1,9 +1,14 @@
 import itertools
+import operator
 import random
+from functools import reduce
+
+import pytest
 
 from spectrumlab import lindenbaum as lb
+from spectrumlab import report
 from spectrumlab import spectrum as sp
-from spectrumlab.lts import catalog_systems
+from spectrumlab.lts import catalog, catalog_systems
 
 
 def L30():
@@ -232,3 +237,203 @@ def test_set_lattice_join_irreducibles_match_below_join_rule():
             sp.SetLattice(L.elements))
         assert L.join_irreducibles() == inherited, name
     assert max(len(L.elements) for _, L in cases) >= 48
+
+
+# The tuple-keyed lattice the numbered one replaced, kept verbatim: the
+# oracle for every public method.
+
+
+class _FiniteDistributiveLattice:
+    """Explicit finite lattice over hashable elements.
+
+    Immutable after construction; distributivity is a checkable property, not
+    an assumed one.
+    """
+
+    def __init__(self, elements, meet, join):
+        self.elements = sorted(set(elements), key=repr)
+        self._meet = {}
+        self._join = {}
+        elems = set(self.elements)
+        for a in self.elements:
+            for b in self.elements:
+                m, j = meet(a, b), join(a, b)
+                if m not in elems or j not in elems:
+                    raise ValueError("element set not closed under meet/join")
+                self._meet[(a, b)] = m
+                self._join[(a, b)] = j
+        self.bottom = reduce(self.meet, self.elements)
+        self.top = reduce(self.join, self.elements)
+
+    def meet(self, a, b):
+        return self._meet[(a, b)]
+
+    def join(self, a, b):
+        return self._join[(a, b)]
+
+    def leq(self, a, b):
+        return self._meet[(a, b)] == a
+
+    def lt(self, a, b):
+        return a != b and self.leq(a, b)
+
+    def join_irreducibles(self):
+        """Non-bottom elements that are not the join of all the elements
+        strictly below them (so not the join of any two of them)."""
+        if not hasattr(self, "_ji"):
+            self._ji = [x for x in self.elements if x != self.bottom and reduce(
+                self.join, (a for a in self.elements if self.lt(a, x)),
+                self.bottom) != x]
+        return self._ji
+
+    def meet_irreducibles(self):
+        """Dually: non-top elements not the meet of all elements above."""
+        if not hasattr(self, "_mi"):
+            self._mi = [x for x in self.elements if x != self.top and reduce(
+                self.meet, (a for a in self.elements if self.lt(x, a)),
+                self.top) != x]
+        return self._mi
+
+    def is_distributive(self):
+        for a, b, c in itertools.product(self.elements, repeat=3):
+            if self.meet(a, self.join(b, c)) != \
+                    self.join(self.meet(a, b), self.meet(a, c)):
+                return False
+        return True
+
+    def heyting(self, a, b):
+        """Largest z with z & a <= b (join of all candidates)."""
+        candidates = [z for z in self.elements if self.leq(self.meet(z, a), b)]
+        return reduce(self.join, candidates, self.bottom)
+
+    def coheyting(self, x, y):
+        """Birkhoff subtraction: join of irreducibles under x but not y."""
+        parts = [j for j in self.join_irreducibles()
+                 if self.leq(j, x) and not self.leq(j, y)]
+        return reduce(self.join, parts, self.bottom)
+
+    def pseudocomplement(self, x):
+        return self.heyting(x, self.bottom)
+
+    def conegation(self, x):
+        return self.coheyting(self.top, x)
+
+    def boundary(self, x):
+        return self.meet(x, self.pseudocomplement(x))
+
+    def boolean_core(self):
+        return [x for x in self.elements
+                if self.pseudocomplement(self.pseudocomplement(x)) == x]
+
+
+
+def _answers(L, seq=list):
+    """Every public method's answer, on every element and pair.  Lists in
+    element order go through seq, so that set lattices, which keep their
+    own order, compare as sets."""
+    E = L.elements
+    ind = sp.indecomposability_check(L)
+    out = {"elements": seq(E), "bottom": L.bottom, "top": L.top,
+           "join_irreducibles": seq(L.join_irreducibles()),
+           "meet_irreducibles": seq(L.meet_irreducibles()),
+           "boolean_core": seq(L.boolean_core()),
+           "is_distributive": L.is_distributive(),
+           "indecomposability": (ind["connected"], ind["components"],
+                                 seq(ind["j_covers"]))}
+    for a in E:
+        for name in ("pseudocomplement", "conegation", "boundary"):
+            out[name, a] = getattr(L, name)(a)
+        for b in E:
+            for name in ("meet", "join", "leq", "lt", "heyting",
+                         "coheyting"):
+                out[name, a, b] = getattr(L, name)(a, b)
+    return out
+
+
+def _from_order(elems, below):
+    """Meet and join of a finite lattice given by its order, by search."""
+    def bound(x, y, under):
+        common = [z for z in elems if under(z, x) and under(z, y)]
+        return next(z for z in common if all(under(w, z) for w in common))
+    return (lambda x, y: bound(x, y, below),
+            lambda x, y: bound(x, y, lambda a, b: below(b, a)))
+
+
+def _pentagon_and_diamond():
+    """N5 (0 < a < c < 1, b apart) and M3 (0 < a, b, c < 1, pairwise apart)."""
+    n5 = {("0", x) for x in "0abc1"} | {(x, "1") for x in "0abc1"} | {
+        ("a", "c"), ("a", "a"), ("b", "b"), ("c", "c")}
+    m3 = {("0", x) for x in "0abc1"} | {(x, "1") for x in "0abc1"} | {
+        ("a", "a"), ("b", "b"), ("c", "c")}
+    for rel in (n5, m3):
+        yield list("0abc1"), _from_order(list("0abc1"),
+                                         lambda x, y, r=rel: (x, y) in r)
+
+
+def _vector_families():
+    """Seeded closed families of vectors: L30, closures of random sets of
+    named vectors, and closures of random vectors over {0, 1, 2, inf}."""
+    yield L30()[0].elements
+    rng = random.Random(11)
+    named = list(sp.NAMED_VECTORS.values())
+    for _ in range(12):
+        yield sp.close_sublattice(rng.sample(named, rng.randint(1, 6)))[0] \
+            .elements
+    for _ in range(12):
+        seed = [tuple(rng.choice((0, 1, 2, sp.INF)) for _ in range(6))
+                for _ in range(rng.randint(1, 3))]
+        yield sp.close_sublattice(seed)[0].elements
+
+
+def _small_posets():
+    """Seeded posets of at most five elements, so that their down-set
+    lattices have at most 32 elements."""
+    rng = random.Random(13)
+    yield [], operator.le
+    for _ in range(10):
+        yield sorted({frozenset(x for x in range(3) if rng.random() < 0.5)
+                      for _ in range(rng.randint(1, 5))}, key=sorted), \
+            operator.le
+        yield rng.sample(range(1, 13), rng.randint(1, 5)), \
+            lambda a, b: b % a == 0
+
+
+def test_numbered_lattice_matches_tuple_keyed_oracle():
+    sizes, distributive = [], []
+    for elems in _vector_families():
+        L = sp.FiniteDistributiveLattice(elems, sp.vec_meet, sp.vec_join)
+        assert _answers(L) == _answers(
+            _FiniteDistributiveLattice(elems, sp.vec_meet, sp.vec_join))
+        sizes.append(len(L.elements))
+    for elems, (meet, join) in _pentagon_and_diamond():
+        L = sp.FiniteDistributiveLattice(elems, meet, join)
+        assert _answers(L) == _answers(
+            _FiniteDistributiveLattice(elems, meet, join))
+        distributive.append(L.is_distributive())
+    for elems, leq in _small_posets():
+        D = sp.downset_lattice(elems, leq)
+        want = _FiniteDistributiveLattice(D.elements, operator.and_,
+                                          operator.or_)
+        got = sp.FiniteDistributiveLattice(D.elements, operator.and_,
+                                           operator.or_)
+        assert _answers(got) == _answers(want), elems
+        assert _answers(D, frozenset) == _answers(want, frozenset), elems
+        sizes.append(len(D.elements))
+    assert distributive == [False, False]
+    assert 30 in sizes and min(sizes) == 1 and max(sizes) >= 16
+    # closed under neither, under meet only, under join only
+    a, b = (0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0)
+    for elems in ([a, b], [(0,) * 6, a, b], [a, b, (1, 1, 0, 0, 0, 0)]):
+        for cls in (sp.FiniteDistributiveLattice, _FiniteDistributiveLattice):
+            with pytest.raises(ValueError):
+                cls(elems, sp.vec_meet, sp.vec_join)
+
+
+def test_spectrum_lattice_is_built_once_and_set_lattices_stay_unnumbered():
+    sp.spectrum_lattice.cache_clear()
+    for k in (1, 2, 3):
+        getattr(report, "criterion_%d" % k)()
+    assert sp.spectrum_lattice.cache_info().misses == 1
+    report.criterion_9()
+    report.criterion_13()
+    assert "meet_table" not in vars(lb.lindenbaum(catalog("U")).lattice)
