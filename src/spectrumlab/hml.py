@@ -13,7 +13,7 @@ from .lts import FinLTS, Homomorphism, ParseError, catalog, is_rooted_tree
 
 
 class Formula:
-    pass
+    _labels = None  # labels_of's frozenset, stored on the node on first use
 
 
 @dataclass(frozen=True)
@@ -89,15 +89,21 @@ def depth(phi):
 
 
 def labels_of(phi):
-    if isinstance(phi, (Top, Bot)):
-        return set()
-    if isinstance(phi, (And, Or)):
-        return labels_of(phi.left) | labels_of(phi.right)
-    if isinstance(phi, (Diamond, Box)):
-        return {phi.label} | labels_of(phi.body)
-    if isinstance(phi, Neg):
-        return labels_of(phi.body)
-    raise TypeError(phi)
+    """The labels phi names: a frozenset computed once, stored on the node."""
+    labels = getattr(phi, "_labels", None)
+    if labels is None:
+        if isinstance(phi, (Top, Bot)):
+            labels = frozenset()
+        elif isinstance(phi, (And, Or)):
+            labels = labels_of(phi.left) | labels_of(phi.right)
+        elif isinstance(phi, (Diamond, Box)):
+            labels = labels_of(phi.body) | {phi.label}
+        elif isinstance(phi, Neg):
+            labels = labels_of(phi.body)
+        else:
+            raise TypeError(phi)
+        object.__setattr__(phi, "_labels", labels)
+    return labels
 
 
 FRAGMENTS = ("traceObs", "diamondOnly", "positiveExistential", "ready", "full")
@@ -146,7 +152,7 @@ def fragment_of(phi):
 
 def require_labels(G, phi):
     """Reject a formula that names a label outside G's alphabet."""
-    bad = labels_of(phi) - set(G.alphabet)
+    bad = labels_of(phi).difference(G.alphabet)
     if bad:
         raise ValueError("unknown label(s): %s" % ",".join(sorted(bad)))
 

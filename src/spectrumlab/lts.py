@@ -9,7 +9,7 @@ import json
 import os
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 STAR = "*"
 
@@ -432,9 +432,17 @@ def fan(k):
 
 
 def trace_lts(word, alphabet=None):
-    names = ["0"] + [str(i + 1) for i in range(len(word))]
+    """The chain system of a word (a string or a sequence of labels), built
+    once per (word, alphabet) and shared between callers: FinLTS is
+    immutable, and a shared system keeps its index."""
     if alphabet is None:
-        alphabet = tuple(sorted(set(word))) or (STAR,)
+        alphabet = sorted(set(word)) or (STAR,)
+    return _trace_lts(tuple(word), tuple(alphabet))
+
+
+@lru_cache(maxsize=256)  # 42 keys per report; bounded for `topology support`
+def _trace_lts(word, alphabet):
+    names = ["0"] + [str(i + 1) for i in range(len(word))]
     edges = [(str(i), word[i], str(i + 1)) for i in range(len(word))]
     return make_lts(names, alphabet, "0", edges)
 

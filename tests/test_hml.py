@@ -221,3 +221,71 @@ def test_holds_dispatch_matches_isinstance_chain():
                 hml.Neg(junk), "T"):
         with pytest.raises(TypeError):
             hml.holds(G, 0, phi)
+
+
+def _labels_by_recursion(phi):
+    """The per-call recursion that the stored label sets replaced, kept as
+    their oracle."""
+    if isinstance(phi, (hml.Top, hml.Bot)):
+        return set()
+    if isinstance(phi, (hml.And, hml.Or)):
+        return _labels_by_recursion(phi.left) | _labels_by_recursion(phi.right)
+    if isinstance(phi, (hml.Diamond, hml.Box)):
+        return {phi.label} | _labels_by_recursion(phi.body)
+    if isinstance(phi, hml.Neg):
+        return _labels_by_recursion(phi.body)
+    raise TypeError(phi)
+
+
+def test_stored_labels_match_recursion():
+    rng = random.Random(17)
+    labels = ["a", "b", "c", "ab"]
+    kinds = set()
+
+    def formula(d, pool):
+        k = rng.randrange(8) if d else rng.randrange(3)
+        if k == 2 and pool:  # a subterm shared with an earlier formula
+            return rng.choice(pool)
+        if k < 3:
+            phi = (hml.TOP, hml.BOT, hml.Top())[k]
+        elif k < 5:
+            phi = (hml.And, hml.Or)[k - 3](formula(d - 1, pool),
+                                           formula(d - 1, pool))
+        elif k == 7:
+            phi = hml.Neg(formula(d - 1, pool))
+        else:
+            phi = (hml.Diamond, hml.Box)[k - 5](rng.choice(labels),
+                                                formula(d - 1, pool))
+        kinds.add(type(phi))
+        pool.append(phi)
+        return phi
+
+    pool = []
+    for _ in range(300):
+        phi = formula(rng.randrange(6), pool)
+        got = hml.labels_of(phi)
+        assert isinstance(got, frozenset)
+        assert got == _labels_by_recursion(phi), phi
+        assert hml.labels_of(phi) is got
+    assert kinds == {hml.Top, hml.Bot, hml.And, hml.Or, hml.Diamond,
+                     hml.Box, hml.Neg}
+    # the stored set is not a field: equality, hashing and printing ignore it
+    fresh = hml.parse_formula(str(phi))
+    assert fresh == phi and hash(fresh) == hash(phi)
+    assert repr(fresh) == repr(phi)
+    for bad in (object(), "T", hml.And(hml.TOP, object())):
+        with pytest.raises(TypeError):
+            hml.labels_of(bad)
+
+
+def test_label_check_runs_on_every_call():
+    """Only the label set is stored, never a verdict: a formula that passed
+    the check on a system with all its labels still fails on one without."""
+    phi = hml.parse_formula("<a>(<b>T & !<c>T)")
+    assert hml.satisfies(trace_lts("abc"), 0, phi)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown label"):
+            hml.satisfies(trace_lts("ab"), 0, phi)
+    assert hml.satisfies(trace_lts("abc"), 0, phi)
+    with pytest.raises(ValueError, match="unknown label"):
+        hml.satisfies(trace_lts("ac"), 0, phi.body)

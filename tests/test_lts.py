@@ -426,3 +426,23 @@ def test_tree_unravel_matches_per_path_scan():
                 want_tree, want_proj = _tree_unravel(G, v, d)
                 assert tree == want_tree and tree.names == want_tree.names
                 assert proj == want_proj
+
+
+def test_trace_lts_is_shared_and_matches_a_fresh_build():
+    """Chain systems are built once per (word, alphabet): each equals a
+    fresh make_lts build, and a repeated call returns the same object."""
+    words = ["".join(w) for k in range(4)
+             for w in itertools.product("ab", repeat=k)]
+    for word in words:
+        for alphabet in (None, ("a", "b"), ["a", "b"], ("a", "b", "c")):
+            want = make_lts(
+                ["0"] + [str(i + 1) for i in range(len(word))],
+                tuple(sorted(set(word))) or ("*",) if alphabet is None
+                else alphabet, "0",
+                [(str(i), word[i], str(i + 1)) for i in range(len(word))])
+            got = trace_lts(word, alphabet)
+            assert (got.n, got.alphabet, got.root, got.transitions,
+                    got.names) == (want.n, want.alphabet, want.root,
+                                   want.transitions, want.names)
+            assert trace_lts(word, alphabet) is got
+            assert trace_lts(list(word), alphabet) is got

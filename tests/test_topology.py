@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -110,12 +111,28 @@ def test_trace_support_equals_bounded_traces():
 
 def test_prefix_hom_law():
     words = [""]
-    for k in range(1, 4):
+    for k in range(1, 5):
         words += ["".join(w) for w in itertools.product("ab", repeat=k)]
     for w1, w2 in itertools.product(words, repeat=2):
         out = tp.prefix_hom_check(w1, w2)
         assert out["ok"], (w1, w2)
         assert out["exists"] == w2.startswith(w1)
+
+
+def test_axiom_check_leaves_no_cycle():
+    """With the cyclic collector off, an axiom check leaves nothing for it:
+    building the test trees goes through no self-referencing closure."""
+    def check():
+        tp.grothendieck_axiom_check(tp.TREES, [path_digraph(1), fan(2)],
+                                    tp.SiteBounds(2, 2))
+    check()  # fills the one-time caches
+    gc.collect()
+    gc.disable()
+    try:
+        check()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_density():
@@ -304,6 +321,36 @@ def test_axiom_check_matches_per_pullback_loop(C, naive):
     want = _as_arrow_sets(oracle_axiom_check(C, sample, bounds, naive))
     assert _as_arrow_sets(got["failures"]) == want
     assert any(want.values()) == naive
+
+
+def test_naive_axiom_check_matches_oracle_on_branching_tests():
+    """With test trees of 3 states a test object has several homs into a
+    leg's source, so a pullback can be naively covering and not covering."""
+    sample = [fan(2), fan_lts("a", "a")]
+    bounds = tp.SiteBounds(2, 3)
+    got = tp.grothendieck_axiom_check(tp.TREES, sample, bounds, naive=True)
+    want = _as_arrow_sets(oracle_axiom_check(tp.TREES, sample, bounds, True))
+    assert _as_arrow_sets(got["failures"]) == want
+    assert want["stability"]
+
+
+def _build_by_recursion(t, me, trans):
+    child = me + 1
+    for (a, sub) in t:
+        trans.append((me, a, child))
+        child = _build_by_recursion(sub, child, trans)
+    return child
+
+
+def test_term_to_lts_numbers_states_in_preorder():
+    """The recursive preorder numbering that the stack replaced, kept as
+    its oracle."""
+    for alphabet in (("a",), ("a", "b"), ("a", "b", "c")):
+        for term in tp._tree_terms(alphabet, 3, 5):
+            trans = []
+            n = _build_by_recursion(term, 0, trans)
+            assert tp._term_to_lts(term, alphabet) == \
+                FinLTS(n, alphabet, 0, frozenset(trans)), term
 
 
 def _tree_terms_by_recursion(alphabet, depth, size):
