@@ -181,20 +181,22 @@ def trace_equivalent(M, N):
 
 
 def bounded_traces(G, bound):
-    """All trace words of length <= bound (exact BFS over subsets)."""
+    """All trace words of length <= bound (exact BFS over subsets), each
+    the join of its labels.  Words are tuples of labels until then: joined,
+    two label sequences can coincide (a.bc and ab.c)."""
     start, table = determinize(G)
-    words = {""}
-    frontier = {("", start)}
+    words = {()}
+    frontier = {((), start)}
     for _ in range(bound):
         nxt = set()
         for (w, cur) in frontier:
             for a, sub in table[cur].items():
-                nw = w + a
+                nw = w + (a,)
                 if nw not in words:
                     words.add(nw)
                     nxt.add((nw, sub))
         frontier = nxt
-    return words
+    return {"".join(w) for w in words}
 
 
 def enabledness_equivalent(M, N):

@@ -6,7 +6,7 @@ the lattice."""
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .lts import BudgetExceeded, reachable_states
+from .lts import BudgetExceeded, back_edges, reachable_states
 from .spectrum import SetLattice, downset_lattice
 
 MAX_FREE_ATOMS = 24
@@ -123,11 +123,8 @@ def automorphisms(G):
                              MAX_AUT_STATES)
     sig = [tuple((len(G.successors(s, a)), len(G.predecessors(s, a)))
                  for a in G.alphabet) for s in range(G.n)]
-    checks = [[] for _ in range(G.n)]  # the edges whose later end is s
-    for (s, a, t) in G.transitions:
-        checks[max(s, t)].append((s, a, t))
     results = []
-    _extend_automorphism(G, sig, checks, [], results)
+    _extend_automorphism(G, sig, back_edges(G, range(G.n)), [], results)
     return results
 
 

@@ -236,13 +236,11 @@ def identity_hom(G):
 
 
 def enumerate_homs(T, G):
-    """All root- and label-preserving homomorphisms T -> G, by backtracking.
-
-    The enumeration budget counts candidate partial assignments; exceeding
-    it raises BudgetExceeded rather than returning a wrong answer.
-    """
-    budget = enumeration_budget()
-    # order: BFS from the root, then any leftover states
+    """All root- and label-preserving homomorphisms T -> G, sorted by
+    mapping: T's states are assigned in BFS order from the root, then any
+    unreachable ones, each image keeping the edges back to those assigned.
+    The budget counts candidate partial assignments; exceeding it raises
+    BudgetExceeded rather than returning a wrong answer."""
     order, seen = [T.root], {T.root}
     for u in order:
         for v in T.successors(u):
@@ -250,46 +248,43 @@ def enumerate_homs(T, G):
                 seen.add(v)
                 order.append(v)
     order += [s for s in range(T.n) if s not in seen]
+    found = []  # image tuples indexed by position in order
+    _extend_hom(G, back_edges(T, order), [], 0, enumeration_budget(), found)
+    pos = {s: k for k, s in enumerate(order)}
+    return [Homomorphism(T, G, m) for m in sorted(
+        tuple(images[pos[s]] for s in range(T.n)) for images in found)]
 
-    results = []
-    assignment = {}
-    counter = [0]
 
-    def consistent(s, g):
-        for a, succ in T.moves(s).items():
-            for t in succ:
-                img = g if t == s else assignment.get(t)
-                if img is not None and (g, a, img) not in G.transitions:
-                    return False
-        for a, pred in T._in[s].items():  # s is unassigned: no self-loops
-            for u in pred:
-                img = assignment.get(u)
-                if img is not None and (img, a, g) not in G.transitions:
-                    return False
-        return True
+def _extend_hom(G, back, images, tried, budget, results):
+    """Assign position len(images) each image that keeps its back edges (the
+    root, at 0, only G's root) and recurse; returns the candidates tried."""
+    k = len(images)
+    if k == len(back):
+        results.append(tuple(images))
+        return tried
+    for g in range(G.n) if k else (G.root,):
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded("hom enumeration", tried, "candidates",
+                                 budget)
+        images.append(g)
+        for (i, a, j) in back[k]:
+            if (images[i], a, images[j]) not in G.transitions:
+                break
+        else:
+            tried = _extend_hom(G, back, images, tried, budget, results)
+        images.pop()
+    return tried
 
-    def rec(k):
-        if k == len(order):
-            results.append(Homomorphism(T, G, tuple(assignment[s] for s in range(T.n))))
-            return
-        s = order[k]
-        candidates = [G.root] if s == T.root else range(G.n)
-        for g in candidates:
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceeded("hom enumeration", counter[0],
-                                     "candidates", budget)
-            if consistent(s, g):
-                assignment[s] = g
-                rec(k + 1)
-                del assignment[s]
 
-    try:
-        rec(0)
-    finally:
-        rec = None  # rec reaches itself through this cell: break the cycle
-    results.sort(key=lambda h: h.mapping)
-    return results
+def back_edges(G, order):
+    """Per position k of `order` (every state once), the edges (i, a, j) of
+    G by positions whose later end is k: those to check on assigning k."""
+    pos = {s: k for k, s in enumerate(order)}
+    back = [[] for _ in pos]
+    for (s, a, t) in G.transitions:
+        back[max(pos[s], pos[t])].append((pos[s], a, pos[t]))
+    return back
 
 
 def iso_check(G, H):
@@ -448,20 +443,14 @@ def _trace_lts(word, alphabet):
 
 
 def fan_lts(w1, w2):
-    names = ["0"]
-    edges = []
-    prev = "0"
-    for i, a in enumerate(w1):
-        nm = str(i + 1)
-        names.append(nm)
-        edges.append((prev, a, nm))
-        prev = nm
-    prev = "0"
-    for i, a in enumerate(w2):
-        nm = str(len(w1) + i + 1)
-        names.append(nm)
-        edges.append((prev, a, nm))
-        prev = nm
+    """Two chains from one root, numbered branch after branch."""
+    names, edges = ["0"], []
+    for w in (w1, w2):
+        prev = "0"
+        for a in w:
+            names.append(str(len(names)))
+            edges.append((prev, a, names[-1]))
+            prev = names[-1]
     return make_lts(names, tuple(sorted(set(w1 + w2))) or (STAR,), "0", edges)
 
 

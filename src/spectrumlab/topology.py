@@ -1,15 +1,14 @@
 """Covering predicates on the site of finite rooted systems.
 
 A morphism universe numbers its arrows: composition is a table of ints, and
-a sieve is an int mask over arrow ids whose `arrows` decode to homs; the
-axiom check tables pullback pairs and required masks once per leg.  True
-sieves are infinite families; every check here is a truncation of one, and
-verdicts carry a truncation flag when the base has cycles (bounded test
-depth cannot exhaust the probes of a cyclic base).
+a sieve is a universe with an int mask over its arrow ids, whose `arrows`
+decode to homs; the axiom check builds pullback pairs and required masks
+once per leg.  True sieves are infinite families; every check here is a
+truncation of one, and verdicts carry a truncation flag when the base has
+cycles (bounded test depth cannot exhaust the probes of a cyclic base).
 """
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -99,7 +98,7 @@ def test_objects(alphabet, bounds):
 class MorphismUniverse:
     """Bounded hom universe over one base: bounded test trees plus the base.
     `_run(A, B)` numbers hom(A, B) on first use as a run of consecutive arrow
-    ids; composites, class masks and pullback pairs are tabled here too."""
+    ids; composites and class masks are tabled here too."""
 
     def __init__(self, base, bounds=SiteBounds()):
         self.base, self.bounds = base, bounds
@@ -146,10 +145,10 @@ class MorphismUniverse:
         return [self._arrows[i] for i in range(mask.bit_length())
                 if mask >> i & 1]
 
-    def required(self, C, B):
-        """Masks of the homs into B of each C-accepted test object, in order."""
-        return self._table(("required", C, B), lambda: [
-            sum(1 << i for i in self._run(T, B))
+    def required(self, C):
+        """Masks of the homs into the base from each C-accepted test object."""
+        return self._table(("required", C), lambda: [
+            sum(1 << i for i in self._run(T, self.base))
             for T in self.test_objects if C.accepts(T)])
 
 
@@ -158,28 +157,21 @@ class MorphismUniverse:
 
 
 class Sieve:
-    """Arrows into `base`.  The operations below build a sieve as a mask
-    over one universe's arrow ids and decode `arrows` on first read."""
+    """Arrows into `universe.base`, as a mask over the universe's arrow
+    ids; `arrows` decodes the mask on first read."""
 
-    def __init__(self, base, arrows):
-        self.base, self.arrows, self.universe = base, frozenset(arrows), None
-        if any(h.target != base for h in self.arrows):
-            raise ValueError("sieve arrow does not target the base")
+    def __init__(self, universe, mask):
+        self.universe, self.mask, self.base = universe, mask, universe.base
 
     @cached_property
     def arrows(self):
         return frozenset(self.universe.decode(self.mask))
 
-    def mask_in(self, universe):
-        if universe is not self.universe:
-            raise ValueError("sieve is not a mask over this universe")
-        return self.mask
 
-
-def _sieve(universe, base, mask):
-    S = Sieve.__new__(Sieve)
-    S.base, S.universe, S.mask = base, universe, mask
-    return S
+def _mask(S, universe):
+    if S.universe is not universe:
+        raise ValueError("sieve is not a mask over this universe")
+    return S.mask
 
 
 def generate_sieve(universe, generators):
@@ -194,38 +186,38 @@ def generate_sieve(universe, generators):
         mask |= 1 << g
         for k in universe.ids_into(h.source):
             mask |= 1 << universe.compose(g, k)
-    return _sieve(universe, universe.base, mask)
+    return Sieve(universe, mask)
 
 
 def path_sieve(universe):
     """The sieve generated by the arrows from path test objects."""
     return generate_sieve(universe, universe.decode(
-        sum(universe.required(PATHS, universe.base))))
+        sum(universe.required(PATHS))))
 
 
 def maximal_sieve(universe):
-    return _sieve(universe, universe.base,
-                  sum(1 << i for i in universe.ids_into(universe.base)))
+    return Sieve(universe,
+                 sum(1 << i for i in universe.ids_into(universe.base)))
 
 
 def sieve_pullback(f, S, universe):
-    """f*(S) = {g into f.source : f o g in S}, over the universe on f.source,
-    by one bit test per pair (g, f o g) tabled on S's universe, which holds
-    `universe` weakly.  Closed: f o (g o k) = (f o g) o k lands in S whenever
-    f o g does, because S is itself precomposition-closed."""
+    """f*(S) = {g into f.source : f o g in S} as a sieve over `universe`,
+    whose base must be f.source, by one bit test per pair (g, f o g).
+    Closed: f o (g o k) = (f o g) o k lands in S whenever f o g does,
+    because S is itself precomposition-closed."""
     if f.target != S.base:
         raise ValueError("pullback map must target the sieve base")
-    home = S.universe or universe
-    mask = S.mask_in(home)
-    return _sieve(universe, f.source, sum(
-        g for g, fg in _pull_pairs(home, f, universe) if mask & fg))
+    if universe.base != f.source:
+        raise ValueError("pullback universe must be over the map's source")
+    pairs = _pull_pairs(S.universe, f, universe)
+    return Sieve(universe, sum(g for g, fg in pairs if S.mask & fg))
 
 
 def _pull_pairs(home, f, universe):
-    """The bits (g, f o g) for each g into f.source, tabled on home."""
-    return home._table(("pull", f, weakref.ref(universe)), lambda: [
-        (1 << g, 1 << home.id_of(f.compose(universe._arrows[g])))
-        for g in universe.ids_into(f.source)])
+    """The bits (g, f o g) for each g into f.source: g's id in `universe`,
+    f o g's in home."""
+    return [(1 << g, 1 << home.id_of(f.compose(universe._arrows[g])))
+            for g in universe.ids_into(f.source)]
 
 
 @dataclass(frozen=True)
@@ -242,8 +234,8 @@ def is_covering(S, C, universe):
     """Every root-preserving hom from every C-accepted test object into the
     base must lie in the sieve.  Exact on acyclic bases whose probes fit the
     bounds; flagged as truncated on cyclic bases."""
-    mask = S.mask_in(universe)
-    missing = [h for m in universe.required(C, S.base)
+    mask = _mask(S, universe)
+    missing = [h for m in universe.required(C)
                for h in universe.decode(m & ~mask)]
     return CoveringVerdict(not missing, S.base.has_cycle(), tuple(missing[:4]))
 
@@ -252,7 +244,7 @@ def naive_covering(S, C, universe):
     """Existence-flavored predicate: for each C-accepted test object with at
     least one hom into the base, SOME hom from it lies in the sieve.  Kept
     only as the stability counterexample; do not use as a topology."""
-    return _covers(universe.required(C, S.base), S.mask_in(universe), True)
+    return _covers(universe.required(C), _mask(S, universe), True)
 
 
 def _covers(required, mask, naive):
@@ -275,7 +267,7 @@ def _sample_sieves(universe):
 def grothendieck_axiom_check(C, sample, bounds=SiteBounds(), naive=False):
     """Property-check maximality, stability, and transitivity of the covering
     predicate over sieves generated by <= 3 arrows on each sample base.
-    Pullback pairs and required masks are tabled once per leg f, and
+    Pullback pairs and required masks are built once per leg f, and
     whether f*(R) covers is decided once per (R, f), by int work only."""
     @lru_cache(maxsize=None)
     def universe(G):
@@ -287,12 +279,12 @@ def grothendieck_axiom_check(C, sample, bounds=SiteBounds(), naive=False):
         sieves = _sample_sieves(U)  # the maximal sieve first
         legs = [(f, U._arrows[f]) for f in U.ids_into(G)]
         tables = [(f, _pull_pairs(U, h, universe(h.source)),
-                   universe(h.source).required(C, h.source)) for f, h in legs]
+                   universe(h.source).required(C)) for f, h in legs]
         # along[mask of R]: the f along which R pulls back to a covering sieve
         along = {R.mask: sum(1 << f for f, pairs, req in tables if _covers(
             req, sum(g for g, fg in pairs if R.mask & fg), naive))
             for R in sieves}
-        required = U.required(C, G)
+        required = U.required(C)
         covering = [S for S in sieves if _covers(required, S.mask, naive)]
         covered = {S.mask for S in covering}
         if sieves[0] not in covering:

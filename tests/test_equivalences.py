@@ -495,3 +495,11 @@ def test_all_six_levels_at_one_hundred_states(seed):
     verdicts = {level: eq.decide(G, mutant, level) for level in eq.LEVELS}
     assert all(verdicts[weaker] for level, holds in verdicts.items() if holds
                for weaker in _IMPLIES[level])
+
+
+def test_bounded_traces_keeps_label_sequences_apart():
+    """a.b.c and the label ab join to overlapping strings: the trace a.b.c
+    must not be lost because "ab" was already seen via the label ab."""
+    G = FinLTS(5, ("a", "ab", "b", "c"), 0, frozenset(
+        {(0, "a", 1), (1, "b", 2), (2, "c", 3), (0, "ab", 4)}))
+    assert eq.bounded_traces(G, 3) == {"", "a", "ab", "abc"}

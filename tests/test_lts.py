@@ -446,3 +446,120 @@ def test_trace_lts_is_shared_and_matches_a_fresh_build():
                                    want.transitions, want.names)
             assert trace_lts(word, alphabet) is got
             assert trace_lts(list(word), alphabet) is got
+
+
+# ---------------------------------------------------------------------------
+# The closure-based hom search that the back-edge recursion replaced, kept
+# as its oracle (body as it was, budget and error from the module).
+
+
+def oracle_enumerate_homs(T, G):
+    from spectrumlab.lts import BudgetExceeded, enumeration_budget
+    budget = enumeration_budget()
+    # order: BFS from the root, then any leftover states
+    order, seen = [T.root], {T.root}
+    for u in order:
+        for v in T.successors(u):
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    order += [s for s in range(T.n) if s not in seen]
+
+    results = []
+    assignment = {}
+    counter = [0]
+
+    def consistent(s, g):
+        for a, succ in T.moves(s).items():
+            for t in succ:
+                img = g if t == s else assignment.get(t)
+                if img is not None and (g, a, img) not in G.transitions:
+                    return False
+        for a, pred in T._in[s].items():  # s is unassigned: no self-loops
+            for u in pred:
+                img = assignment.get(u)
+                if img is not None and (img, a, g) not in G.transitions:
+                    return False
+        return True
+
+    def rec(k):
+        if k == len(order):
+            results.append(Homomorphism(T, G, tuple(assignment[s] for s in range(T.n))))
+            return
+        s = order[k]
+        candidates = [G.root] if s == T.root else range(G.n)
+        for g in candidates:
+            counter[0] += 1
+            if counter[0] > budget:
+                raise BudgetExceeded("hom enumeration", counter[0],
+                                     "candidates", budget)
+            if consistent(s, g):
+                assignment[s] = g
+                rec(k + 1)
+                del assignment[s]
+
+    try:
+        rec(0)
+    finally:
+        rec = None  # rec reaches itself through this cell: break the cycle
+    results.sort(key=lambda h: h.mapping)
+    return results
+
+
+def _homs_or_error(search, T, G):
+    from spectrumlab.lts import BudgetExceeded
+    try:
+        return [h.mapping for h in search(T, G)]
+    except BudgetExceeded as e:
+        return "BudgetExceeded: %s" % e
+
+
+@pytest.mark.parametrize("budget", [None, "3", "7", "20"])
+def test_enumerate_homs_matches_closure_search(budget, monkeypatch):
+    """Same mappings in the same order, and the same budget message, on
+    seeded (T, G) pairs of up to 6 states, including unreachable states of
+    T, whose images are checked only through their edges."""
+    if budget is None:
+        monkeypatch.delenv("SPECTRUM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SPECTRUM_BUDGET", budget)
+    rng = random.Random(20261019)
+    seen = {"homs": 0, "none": 0, "budget": 0}
+    for _ in range(400):
+        T, G = _random_system(rng), _random_system(rng)
+        if set(T.alphabet) - set(G.alphabet):
+            G = FinLTS(G.n, T.alphabet, G.root, G.transitions)
+        got = _homs_or_error(enumerate_homs, T, G)
+        assert got == _homs_or_error(oracle_enumerate_homs, T, G), (T, G)
+        seen["budget" if isinstance(got, str) else
+             "homs" if got else "none"] += 1
+    assert seen["homs"] and seen["none"], seen
+    assert bool(seen["budget"]) == (budget is not None), seen
+
+
+def _fan_lts_two_loops(w1, w2):
+    """`fan_lts` as it was, one loop per branch: its oracle."""
+    names = ["0"]
+    edges = []
+    prev = "0"
+    for i, a in enumerate(w1):
+        nm = str(i + 1)
+        names.append(nm)
+        edges.append((prev, a, nm))
+        prev = nm
+    prev = "0"
+    for i, a in enumerate(w2):
+        nm = str(len(w1) + i + 1)
+        names.append(nm)
+        edges.append((prev, a, nm))
+        prev = nm
+    return make_lts(names, tuple(sorted(set(w1 + w2))) or ("*",), "0", edges)
+
+
+def test_fan_lts_matches_two_loop_build():
+    words = ["".join(w) for k in range(4)
+             for w in itertools.product("ab", repeat=k)]
+    for w1, w2 in itertools.product(words, repeat=2):
+        got, want = fan_lts(w1, w2), _fan_lts_two_loops(w1, w2)
+        assert (got, got.alphabet, got.names) == \
+            (want, want.alphabet, want.names), (w1, w2)
