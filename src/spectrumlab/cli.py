@@ -291,6 +291,9 @@ def cmd_lindenbaum(args):
 
 
 def cmd_topology(args):
+    wanted = {"matrix": 1, "density": 1, "support": 2, "prefix": 2}
+    if None in (args.M, args.N)[:wanted.get(args.topic, 0)]:
+        raise UsageError("topology %s: missing argument" % args.topic)
     bounds = tp.SiteBounds(args.depth_bound, args.size_bound)
     lines = []
     payload = {}
@@ -313,10 +316,12 @@ def cmd_topology(args):
                                              " (truncated)" if v.truncated
                                              else ""))
     elif args.topic == "axioms":
+        C = {"paths": tp.PATHS, "trees": tp.TREES}.get(args.cls)
+        if C is None:
+            raise UsageError("unknown class %r (paths, trees)" % args.cls)
         sample = [_load_system(s) for s in
                   (args.M.split("+") if args.M else
                    ["pathDigraph(1)", "pathDigraph(2)", "fan(2)", "twoCycle"])]
-        C = tp.PATHS if args.cls == "paths" else tp.TREES
         rep = tp.grothendieck_axiom_check(C, sample, bounds, naive=args.naive)
         for ax in ("maximality", "stability", "transitivity"):
             lines.append("%s: %s" % (ax, "pass" if rep[ax] else "FAIL"))
@@ -422,7 +427,7 @@ def cmd_unravel(args):
 
 
 def cmd_vanbenthem(args):
-    rows = hml.vanbenthem_suite(args.d)
+    rows = geo.vanbenthem_suite(args.d)
     lines = []
     ok = True
     for r in rows:

@@ -1,5 +1,7 @@
 """Geometric formulas and sequents over the predicates D (step), G
-(reachability), T (path equivalence), evaluated in canonical models.
+(reachability), T (path equivalence), evaluated in canonical models; the
+bounded invariance suites, which check geometric atoms along bisimulations;
+and the standard translation of diamond-only modal formulas.
 
 "Provable" here means valid in the canonical model: the system itself with D
 as the edge relation, G its reflexive-transitive closure, and T path
@@ -10,8 +12,10 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .lts import (BudgetExceeded, ParseError, enumeration_budget,
-                  path_equivalent, reachable_from)
+from . import hml
+from .equivalences import bisimilar, greatest_bisimulation
+from .lts import (BudgetExceeded, ParseError, catalog, enumeration_budget,
+                  path_equivalent, reachable_from, unlabeled_catalog_systems)
 
 PREDICATES = ("D", "G", "T")
 
@@ -196,6 +200,101 @@ def eval_sequent(G, sigma):
 
 
 # ---------------------------------------------------------------------------
+# bounded invariance suites (depths 0/1/2)
+
+
+# Depth-d first-order atoms in x, as (name, text, invariant) rows.
+SUITE_ATOMS = {
+    0: [("diag", "D(x,x)", False)],
+    1: [
+        ("has-successor", "E y. D(x,y)", True),
+        ("diag", "D(x,x)", False),
+        ("has-predecessor", "E y. D(y,x)", False),
+        ("exists-self-loop", "E y. D(y,y)", False),
+        ("mutual-neighbor", "E y. (D(x,y) & D(y,x))", False),
+        ("successor-with-loop", "E y. (D(x,y) & D(y,y))", False),
+    ],
+    2: [
+        ("two-step", "E y. (D(x,y) & E z. D(y,z))", True),
+        ("a1-successor-with-loop", "E y. (D(x,y) & D(y,y))", False),
+        ("a2-successor-on-2cycle",
+         "E y. (D(x,y) & E z. (D(y,z) & D(z,y)))", False),
+        ("a3-successor-to-loop",
+         "E y. (D(x,y) & E z. (D(y,z) & D(z,z)))", False),
+        ("a4-triangle", "E y. (D(x,y) & E z. (D(y,z) & D(x,z)))", False),
+        ("a5-loop-and-successor", "D(x,x) & E y. D(x,y)", False),
+        ("a6-loop-and-two-step", "D(x,x) & E y. (D(x,y) & E z. D(y,z))",
+         False),
+        ("a7-return-cycle", "E y. (D(x,y) & E z. (D(y,z) & D(z,x)))", False),
+    ],
+}
+
+
+def _witness_pairs():
+    """name -> (M, sM, N, sN, relation over state names)."""
+    return {
+        "loop-vs-cycle": (catalog("selfLoop"), "a", catalog("twoCycle"), "x",
+                          [("a", "x"), ("a", "y")]),
+        "path-vs-backEdge": (catalog("path"), "x", catalog("backEdge"), "rt",
+                             [("x", "rt"), ("y", "lp"), ("y", "rt")]),
+        "entry-vs-stretched": (
+            catalog("cycleEntry"), "a", catalog("stretchedEntry"), "a",
+            [("a", "a")] + list(itertools.product("bc", "bcd"))),
+    }
+
+
+ATOM_WITNESS = {
+    (0, "diag"): "loop-vs-cycle",
+    (1, "diag"): "loop-vs-cycle",
+    (1, "has-predecessor"): "path-vs-backEdge",
+    (1, "exists-self-loop"): "loop-vs-cycle",
+    (1, "mutual-neighbor"): "path-vs-backEdge",
+    (1, "successor-with-loop"): "loop-vs-cycle",
+    (2, "a1-successor-with-loop"): "loop-vs-cycle",
+    (2, "a2-successor-on-2cycle"): "entry-vs-stretched",
+    (2, "a3-successor-to-loop"): "loop-vs-cycle",
+    (2, "a4-triangle"): "loop-vs-cycle",
+    (2, "a5-loop-and-successor"): "loop-vs-cycle",
+    (2, "a6-loop-and-two-step"): "loop-vs-cycle",
+    (2, "a7-return-cycle"): "loop-vs-cycle",
+}
+
+
+def vanbenthem_suite(d):
+    """For each depth-d first-order atom: invariant atoms must transfer along
+    bisimulations, non-invariant ones must be separated at designated
+    bisimilar states.  Returns report rows."""
+    if d not in (0, 1, 2):
+        raise ValueError("d must be 0, 1 or 2")
+    pairs = _witness_pairs()
+    rows = []
+    for (name, text, invariant) in SUITE_ATOMS[d]:
+        formula = parse_gformula(text)
+        if invariant:
+            # check transfer over every bisimilar unlabeled catalog pair
+            systems = sorted(unlabeled_catalog_systems().items())
+            ok = all(eval_formula(M, formula, {"x": s})
+                     == eval_formula(N, formula, {"x": t})
+                     for (_, M), (_, N) in itertools.combinations(systems, 2)
+                     for (s, t) in sorted(greatest_bisimulation(M, N)))
+            rows.append({"atom": name, "invariant": True, "ok": ok,
+                         "witness": None})
+        else:
+            wname = ATOM_WITNESS[(d, name)]
+            (M, sM, N, sN, rel) = pairs[wname]
+            rel_idx = frozenset((M.state(a), N.state(b)) for (a, b) in rel)
+            is_bisim = (bisimilar(M, N) is not None
+                        and rel_idx <= greatest_bisimulation(M, N)
+                        and (M.state(sM), N.state(sN)) in rel_idx)
+            vm = eval_formula(M, formula, {"x": M.state(sM)})
+            vn = eval_formula(N, formula, {"x": N.state(sN)})
+            rows.append({"atom": name, "invariant": False,
+                         "ok": bool(is_bisim and vm != vn),
+                         "witness": (wname, vm, vn)})
+    return rows
+
+
+# ---------------------------------------------------------------------------
 # per-system theory
 
 
@@ -335,29 +434,30 @@ def topos_separation_certificate(M, N, extra=()):
 def standard_translation(phi):
     """ST_x: diamonds become existential step quantifiers.  Only single-label
     ("*") modalities translate; the geometric step predicate is unlabeled."""
-    from . import hml
     if not hml.in_fragment(phi, "diamondOnly"):
         raise ValueError("formula outside the diamond-only fragment")
-    counter = itertools.count()
+    return _translate(phi, "x", itertools.count())
 
-    def st(phi, v):
-        if isinstance(phi, hml.Top):
-            return TOP
-        if isinstance(phi, hml.Bot):
-            return BOT
-        if isinstance(phi, hml.And):
-            return And(st(phi.left, v), st(phi.right, v))
-        if isinstance(phi, hml.Or):
-            return Or((st(phi.left, v), st(phi.right, v)))
-        if isinstance(phi, hml.Diamond):
-            if phi.label != "*":
-                raise ValueError("only single-label modalities translate")
-            fresh = "v%d" % next(counter)
-            return Exists(fresh, And(Atom("D", Var(v), Var(fresh)),
-                                     st(phi.body, fresh)))
-        raise TypeError(phi)
 
-    return st(phi, "x")
+def _translate(phi, v, counter):
+    """ST_v(phi); counter numbers the fresh variables v0, v1, ..."""
+    if isinstance(phi, hml.Top):
+        return TOP
+    if isinstance(phi, hml.Bot):
+        return BOT
+    if isinstance(phi, hml.And):
+        return And(_translate(phi.left, v, counter),
+                   _translate(phi.right, v, counter))
+    if isinstance(phi, hml.Or):
+        return Or((_translate(phi.left, v, counter),
+                   _translate(phi.right, v, counter)))
+    if isinstance(phi, hml.Diamond):
+        if phi.label != "*":
+            raise ValueError("only single-label modalities translate")
+        fresh = "v%d" % next(counter)
+        return Exists(fresh, And(Atom("D", Var(v), Var(fresh)),
+                                 _translate(phi.body, fresh, counter)))
+    raise TypeError(phi)
 
 
 def is_equality_free(phi):

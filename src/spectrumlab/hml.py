@@ -1,11 +1,13 @@
 """Modal formulas: satisfaction, fragments, parsing, canonical enumeration,
-distinguishing formulas, tree unraveling, and the bounded invariance suites."""
+distinguishing formulas, tree unraveling and characteristic formulas.  The
+bounded invariance suites, which evaluate geometric atoms, are in
+geometry."""
 
 import itertools
 from dataclasses import dataclass
 from functools import reduce
 
-from .lts import FinLTS, Homomorphism, ParseError, catalog, is_rooted_tree
+from .lts import FinLTS, Homomorphism, ParseError, is_rooted_tree
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +108,23 @@ def labels_of(phi):
     return labels
 
 
-FRAGMENTS = ("traceObs", "diamondOnly", "positiveExistential", "ready", "full")
+# The node kinds each fragment admits, smallest fragment first.  "!<a>T" is
+# an inability, the one negation the ready fragment admits.
+FRAGMENTS = {
+    "positiveExistential": frozenset({"T", "<a>", "&"}),
+    "traceObs": frozenset({"T", "F", "<a>", "|"}),
+    "diamondOnly": frozenset({"T", "F", "<a>", "&", "|"}),
+    "ready": frozenset({"T", "F", "<a>", "&", "|", "!<a>T"}),
+    "full": frozenset({"T", "F", "<a>", "&", "|", "!<a>T", "[a]", "!"}),
+}
+
+
+def _fragment_kinds(fragment):
+    try:
+        return FRAGMENTS[fragment]
+    except KeyError:
+        raise ValueError("unknown fragment %r (fragments: %s)"
+                         % (fragment, ", ".join(FRAGMENTS))) from None
 
 
 def _is_inability(phi):
@@ -115,35 +133,36 @@ def _is_inability(phi):
 
 
 def in_fragment(phi, fragment):
-    if fragment == "full":
-        return True
+    return _admitted(phi, _fragment_kinds(fragment))
+
+
+def _admitted(phi, kinds):
+    """Every node of phi has a kind in kinds; an inability is one node."""
     if isinstance(phi, Top):
-        return True
-    if isinstance(phi, Bot):
-        return fragment != "positiveExistential"
+        return "T" in kinds
     if isinstance(phi, Diamond):
-        return in_fragment(phi.body, fragment)
-    if isinstance(phi, Or):
-        if fragment == "positiveExistential":
-            return False
-        return in_fragment(phi.left, fragment) and in_fragment(phi.right, fragment)
+        return "<a>" in kinds and _admitted(phi.body, kinds)
     if isinstance(phi, And):
-        if fragment == "traceObs":
-            return False
-        return in_fragment(phi.left, fragment) and in_fragment(phi.right, fragment)
-    if isinstance(phi, Neg):
-        return fragment == "ready" and _is_inability(phi)
+        return ("&" in kinds and _admitted(phi.left, kinds)
+                and _admitted(phi.right, kinds))
+    if isinstance(phi, Or):
+        return ("|" in kinds and _admitted(phi.left, kinds)
+                and _admitted(phi.right, kinds))
+    if isinstance(phi, Bot):
+        return "F" in kinds
     if isinstance(phi, Box):
-        return False
+        return "[a]" in kinds and _admitted(phi.body, kinds)
+    if isinstance(phi, Neg):
+        if _is_inability(phi):
+            return "!<a>T" in kinds
+        return "!" in kinds and _admitted(phi.body, kinds)
     raise TypeError(phi)
 
 
 def fragment_of(phi):
-    """Smallest fragment (in inclusion order) containing the formula."""
-    for frag in ("positiveExistential", "traceObs", "diamondOnly", "ready", "full"):
-        if in_fragment(phi, frag):
-            return frag
-    return "full"
+    """Smallest fragment (in FRAGMENTS order) containing the formula."""
+    return next(frag for frag, kinds in FRAGMENTS.items()
+                if _admitted(phi, kinds))
 
 
 # ---------------------------------------------------------------------------
@@ -280,48 +299,27 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
     max_conj bounds the size of conjunction sets under a modality; pass None
     for all subsets (complete for the depth <= 2 equivalence oracle).
     """
+    kinds = _fragment_kinds(fragment)
     alphabet = tuple(sorted(alphabet))
-    terms_by_depth = {0: []}
-    if fragment in ("ready", "full"):
-        # inability atoms, depth 1
-        inabilities = [Neg(Diamond(a, TOP)) for a in alphabet]
-    else:
-        inabilities = []
-
-    def conj_of(parts):
-        return reduce(And, parts) if parts else TOP
-
+    # inability atoms, depth 1
+    inabilities = ([Neg(Diamond(a, TOP)) for a in alphabet]
+                   if "!<a>T" in kinds else [])
+    modalities = (Diamond, Box) if "[a]" in kinds else (Diamond,)
+    terms = []  # by depth; before round d, those of depth < d
     for d in range(1, max_depth + 1):
-        pool = [t for k in range(0, d) for t in terms_by_depth[k]]
         if d == 1:
             bodies = [TOP]
+        elif "&" not in kinds:
+            bodies = [TOP] + terms
         else:
-            if fragment == "traceObs":
-                bodies = [TOP] + pool  # no conjunction in this fragment
-            else:
-                body_pool = pool + (inabilities if d >= 2 else [])
-                bodies = []
-                limit = len(body_pool) if max_conj is None else max_conj
-                for k in range(0, limit + 1):
-                    for combo in itertools.combinations(body_pool, k):
-                        bodies.append(conj_of(list(combo)))
-        new_terms = []
-        for a in alphabet:
-            for b in bodies:
-                new_terms.append(Diamond(a, b))
-            if fragment == "full":
-                for b in bodies:
-                    new_terms.append(Box(a, b))
-        terms_by_depth[d] = new_terms
-
-    formulas = [TOP]
-    if fragment not in ("positiveExistential",):
-        formulas.append(BOT)
-    if fragment in ("ready", "full"):
-        formulas.extend(inabilities)
-    for d in range(1, max_depth + 1):
-        formulas.extend(terms_by_depth[d])
-    return formulas
+            body_pool = terms + inabilities
+            limit = len(body_pool) if max_conj is None else max_conj
+            bodies = [reduce(And, combo) if combo else TOP
+                      for k in range(0, limit + 1)
+                      for combo in itertools.combinations(body_pool, k)]
+        terms.extend(modality(a, b) for a in alphabet
+                     for modality in modalities for b in bodies)
+    return [TOP] + ([BOT] if "F" in kinds else []) + inabilities + terms
 
 
 def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
@@ -428,142 +426,15 @@ def characteristic_formula(T, v, d):
     instances; a negation-free formula cannot express it in general."""
     if not is_rooted_tree(T):
         raise ValueError("input is not a rooted tree")
-
-    def build(u, k):
-        children = _sorted_moves(T, u)
-        if k == 0 or not children:
-            return TOP
-        parts = [Diamond(a, build(t, k - 1)) for (a, t) in children]
-        conj = reduce(And, parts)
-        if len(parts) > 1:
-            conj = And(conj, reduce(Or, parts))
-        return conj
-
-    return build(v, d)
+    return _characteristic(T, v, d)
 
 
-# ---------------------------------------------------------------------------
-# bounded invariance suites (depths 0/1/2)
-
-
-def _geo_atoms():
-    # built lazily to avoid a circular import
-    from . import geometry as g
-    x = g.Var("x")
-    y = g.Var("y")
-    z = g.Var("z")
-    D = g.Atom
-    def ex(v, body):
-        return g.Exists(v.name, body)
-    table = {
-        0: [
-            ("diag", D("D", x, x), False),
-        ],
-        1: [
-            ("has-successor", ex(y, D("D", x, y)), True),
-            ("diag", D("D", x, x), False),
-            ("has-predecessor", ex(y, D("D", y, x)), False),
-            ("exists-self-loop", ex(y, D("D", y, y)), False),
-            ("mutual-neighbor", ex(y, g.And(D("D", x, y), D("D", y, x))), False),
-            ("successor-with-loop", ex(y, g.And(D("D", x, y), D("D", y, y))), False),
-        ],
-        2: [
-            ("two-step", ex(y, g.And(D("D", x, y), ex(z, D("D", y, z)))), True),
-            ("a1-successor-with-loop",
-             ex(y, g.And(D("D", x, y), D("D", y, y))), False),
-            ("a2-successor-on-2cycle",
-             ex(y, g.And(D("D", x, y), ex(z, g.And(D("D", y, z), D("D", z, y))))),
-             False),
-            ("a3-successor-to-loop",
-             ex(y, g.And(D("D", x, y), ex(z, g.And(D("D", y, z), D("D", z, z))))),
-             False),
-            ("a4-triangle",
-             ex(y, g.And(D("D", x, y), ex(z, g.And(D("D", y, z), D("D", x, z))))),
-             False),
-            ("a5-loop-and-successor",
-             g.And(D("D", x, x), ex(y, D("D", x, y))), False),
-            ("a6-loop-and-two-step",
-             g.And(D("D", x, x), ex(y, g.And(D("D", x, y), ex(z, D("D", y, z))))),
-             False),
-            ("a7-return-cycle",
-             ex(y, g.And(D("D", x, y), ex(z, g.And(D("D", y, z), D("D", z, x))))),
-             False),
-        ],
-    }
-    return table
-
-
-def _witness_pairs():
-    """name -> (M, sM, N, sN, relation over state names)."""
-    L = catalog("selfLoop")
-    C = catalog("twoCycle")
-    P = catalog("path")
-    R = catalog("backEdge")
-    Ce = catalog("cycleEntry")
-    E = catalog("stretchedEntry")
-    lc = (L, "a", C, "x", [("a", "x"), ("a", "y")])
-    pr = (P, "x", R, "rt", [("x", "rt"), ("y", "lp"), ("y", "rt")])
-    ce = (Ce, "a", E, "a",
-          [("a", "a")] + [(s, t) for s in ("b", "c") for t in ("b", "c", "d")])
-    return {"loop-vs-cycle": lc, "path-vs-backEdge": pr,
-            "entry-vs-stretched": ce}
-
-
-ATOM_WITNESS = {
-    (0, "diag"): "loop-vs-cycle",
-    (1, "diag"): "loop-vs-cycle",
-    (1, "has-predecessor"): "path-vs-backEdge",
-    (1, "exists-self-loop"): "loop-vs-cycle",
-    (1, "mutual-neighbor"): "path-vs-backEdge",
-    (1, "successor-with-loop"): "loop-vs-cycle",
-    (2, "a1-successor-with-loop"): "loop-vs-cycle",
-    (2, "a2-successor-on-2cycle"): "entry-vs-stretched",
-    (2, "a3-successor-to-loop"): "loop-vs-cycle",
-    (2, "a4-triangle"): "loop-vs-cycle",
-    (2, "a5-loop-and-successor"): "loop-vs-cycle",
-    (2, "a6-loop-and-two-step"): "loop-vs-cycle",
-    (2, "a7-return-cycle"): "loop-vs-cycle",
-}
-
-
-def vanbenthem_suite(d):
-    """For each depth-d first-order atom: invariant atoms must transfer along
-    bisimulations, non-invariant ones must be separated at designated
-    bisimilar states.  Returns report rows."""
-    from . import geometry as g
-    from .equivalences import bisimilar, greatest_bisimulation
-    from .lts import unlabeled_catalog_systems
-
-    if d not in (0, 1, 2):
-        raise ValueError("d must be 0, 1 or 2")
-    atoms = _geo_atoms()[d]
-    pairs = _witness_pairs()
-    rows = []
-    for (name, formula, invariant) in atoms:
-        if invariant:
-            # check transfer over every bisimilar unlabeled catalog pair
-            ok = True
-            systems = sorted(unlabeled_catalog_systems().items())
-            for (n1, M), (n2, N) in itertools.combinations(systems, 2):
-                gb = greatest_bisimulation(M, N)
-                for (s, t) in sorted(gb):
-                    vm = g.eval_formula(M, formula, {"x": s})
-                    vn = g.eval_formula(N, formula, {"x": t})
-                    if vm != vn:
-                        ok = False
-            rows.append({"atom": name, "invariant": True, "ok": ok,
-                         "witness": None})
-        else:
-            wname = ATOM_WITNESS[(d, name)]
-            (M, sM, N, sN, rel) = pairs[wname]
-            rel_idx = frozenset((M.state(a), N.state(b)) for (a, b) in rel)
-            wit = bisimilar(M, N)
-            is_bisim = (wit is not None
-                        and rel_idx <= greatest_bisimulation(M, N)
-                        and (M.state(sM), N.state(sN)) in rel_idx)
-            vm = g.eval_formula(M, formula, {"x": M.state(sM)})
-            vn = g.eval_formula(N, formula, {"x": N.state(sN)})
-            rows.append({"atom": name, "invariant": False,
-                         "ok": bool(is_bisim and vm != vn),
-                         "witness": (wname, vm, vn)})
-    return rows
+def _characteristic(T, u, k):
+    children = _sorted_moves(T, u)
+    if k == 0 or not children:
+        return TOP
+    parts = [Diamond(a, _characteristic(T, t, k - 1)) for (a, t) in children]
+    conj = reduce(And, parts)
+    if len(parts) > 1:
+        conj = And(conj, reduce(Or, parts))
+    return conj

@@ -81,22 +81,7 @@ def enumerate_nuclei(L):
     order = L.elements
     upsets = {x: [y for y in order if L.leq(x, y)] for x in order}
     maps = []
-    assign = {}
-
-    def rec(k):
-        if k == len(order):
-            maps.append(dict(assign))
-            return
-        x = order[k]
-        for y in upsets[x]:
-            if all(not L.leq(z, x) or L.leq(assign[z], y) for z in assign) and \
-               all(not L.leq(x, z) or L.leq(y, assign[z]) for z in assign):
-                assign[x] = y
-                rec(k + 1)
-                del assign[x]
-
-    rec(0)
-
+    _extend_monotone(L, order, upsets, {}, maps)
     nuclei = []
     for j in maps:
         if any(j[j[x]] != j[x] for x in order):
@@ -106,6 +91,21 @@ def enumerate_nuclei(L):
             continue
         nuclei.append(j)
     return nuclei
+
+
+def _extend_monotone(L, order, upsets, assign, maps):
+    """Give element order[len(assign)] each image above it that keeps the
+    map monotone and recurse; a complete map is appended to maps."""
+    if len(assign) == len(order):
+        maps.append(dict(assign))
+        return
+    x = order[len(assign)]
+    for y in upsets[x]:
+        if all(not L.leq(z, x) or L.leq(assign[z], y) for z in assign) and \
+           all(not L.leq(x, z) or L.leq(y, assign[z]) for z in assign):
+            assign[x] = y
+            _extend_monotone(L, order, upsets, assign, maps)
+            del assign[x]
 
 
 # ---------------------------------------------------------------------------

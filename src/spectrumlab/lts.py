@@ -29,8 +29,8 @@ class ParseError(ValueError):
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an exhaustive search hits its budget (distinct from a
-    negative answer), naming the search, the amount it needed and the limit."""
+    """An exhaustive search hit its budget (distinct from a negative
+    answer); names the search, the amount it reached and the limit."""
 
     def __init__(self, operation, used, unit, limit):
         super().__init__("%s: %d %s, limit %d" % (operation, used, unit, limit))

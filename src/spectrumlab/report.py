@@ -12,7 +12,8 @@ from . import hml
 from . import lindenbaum as lb
 from . import spectrum as sp
 from . import topology as tp
-from .lts import catalog, catalog_systems, fan, iso_check, path_digraph, quotient
+from .lts import (FinLTS, catalog, catalog_systems, fan, iso_check,
+                  path_digraph, quotient)
 
 RANDOM_SEED = 1729
 
@@ -178,7 +179,7 @@ def criterion_6():
             const = False
     rows.append(_row("depth-0 modal formulas are constant", const))
     for d in (0, 1, 2):
-        suite = hml.vanbenthem_suite(d)
+        suite = geo.vanbenthem_suite(d)
         ok = all(r["ok"] for r in suite)
         inv = sum(1 for r in suite if r["invariant"])
         sep = sum(1 for r in suite if not r["invariant"])
@@ -349,7 +350,6 @@ def _random_system(rng):
             for t in range(n):
                 if rng.random() < 0.3:
                     trans.add((s, a, t))
-    from .lts import FinLTS
     return FinLTS(n, alphabet, 0, frozenset(trans))
 
 

@@ -189,6 +189,12 @@ _BAD_JSON = {
     (["lindenbaum", "fan(7)"], 3),
     (["sigma", "custom", "T |- D(c_a,c_b)", "repeated_state.json"], 2),
     (["unravel", "repeated_state.json", "a", "1"], 2),
+    (["distinguish", "Q", "P_abc", "--fragment", "bogus"], 2),
+    (["topology", "matrix"], 2),
+    (["topology", "density"], 2),
+    (["topology", "support", "Q"], 2),
+    (["topology", "prefix", "ab"], 2),
+    (["topology", "axioms", "--cls", "bogus"], 2),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"

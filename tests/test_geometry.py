@@ -1,23 +1,10 @@
-import gc
-
 import pytest
+from conftest import _cyclic_garbage_after
 
 from spectrumlab import geometry as geo
+from spectrumlab.equivalences import bisimilar
 from spectrumlab.hml import parse_formula
 from spectrumlab.lts import ParseError, catalog, unlabeled_catalog_systems
-
-
-def _cyclic_garbage_after(call):
-    """What the cyclic collector finds after call(), run with the collector
-    off; a warm-up call first keeps one-time caches out of the count."""
-    call()
-    gc.collect()
-    gc.disable()
-    try:
-        call()
-        return gc.collect()
-    finally:
-        gc.enable()
 
 
 def test_parse_gformula_leaves_no_cycle():
@@ -132,6 +119,91 @@ def test_standard_translation():
         geo.standard_translation(parse_formula("<a>T"))
 
 
+def test_standard_translation_leaves_no_cycle():
+    phi = parse_formula("(<*><*>T & <*>T) | <*>(<*>T | F)")
+    assert _cyclic_garbage_after(lambda: geo.standard_translation(phi)) == 0
+
+
 def test_equality_freedom():
     assert not geo.is_equality_free(geo.named_sigma("det").consequent)
     assert geo.is_equality_free(geo.named_sigma("conf").consequent)
+
+
+def test_bounded_invariance_suites():
+    for d in (0, 1, 2):
+        rows = geo.vanbenthem_suite(d)
+        assert rows and all(r["ok"] for r in rows)
+    counts = {d: len(geo.vanbenthem_suite(d)) for d in (0, 1, 2)}
+    assert counts == {0: 1, 1: 6, 2: 8}
+    with pytest.raises(ValueError):
+        geo.vanbenthem_suite(3)
+
+
+def test_witness_pairs_are_bisimilar():
+    for (M, sM, N, sN, rel) in geo._witness_pairs().values():
+        w = bisimilar(M, N)
+        assert w is not None
+        assert (M.state(sM), N.state(sN)) in {
+            (s, t) for (s, t) in [(M.state(a), N.state(b)) for (a, b) in rel]}
+
+
+def _oracle_atoms():
+    """The hand-built atom table that the text rows replaced, kept as their
+    oracle."""
+    x, y, z = geo.Var("x"), geo.Var("y"), geo.Var("z")
+    D = geo.Atom
+
+    def ex(v, body):
+        return geo.Exists(v.name, body)
+    return {
+        0: [
+            ("diag", D("D", x, x), False),
+        ],
+        1: [
+            ("has-successor", ex(y, D("D", x, y)), True),
+            ("diag", D("D", x, x), False),
+            ("has-predecessor", ex(y, D("D", y, x)), False),
+            ("exists-self-loop", ex(y, D("D", y, y)), False),
+            ("mutual-neighbor", ex(y, geo.And(D("D", x, y), D("D", y, x))),
+             False),
+            ("successor-with-loop",
+             ex(y, geo.And(D("D", x, y), D("D", y, y))), False),
+        ],
+        2: [
+            ("two-step", ex(y, geo.And(D("D", x, y), ex(z, D("D", y, z)))),
+             True),
+            ("a1-successor-with-loop",
+             ex(y, geo.And(D("D", x, y), D("D", y, y))), False),
+            ("a2-successor-on-2cycle",
+             ex(y, geo.And(D("D", x, y),
+                           ex(z, geo.And(D("D", y, z), D("D", z, y))))),
+             False),
+            ("a3-successor-to-loop",
+             ex(y, geo.And(D("D", x, y),
+                           ex(z, geo.And(D("D", y, z), D("D", z, z))))),
+             False),
+            ("a4-triangle",
+             ex(y, geo.And(D("D", x, y),
+                           ex(z, geo.And(D("D", y, z), D("D", x, z))))),
+             False),
+            ("a5-loop-and-successor",
+             geo.And(D("D", x, x), ex(y, D("D", x, y))), False),
+            ("a6-loop-and-two-step",
+             geo.And(D("D", x, x),
+                     ex(y, geo.And(D("D", x, y), ex(z, D("D", y, z))))),
+             False),
+            ("a7-return-cycle",
+             ex(y, geo.And(D("D", x, y),
+                           ex(z, geo.And(D("D", y, z), D("D", z, x))))),
+             False),
+        ],
+    }
+
+
+def test_atom_text_rows_parse_to_hand_built_table():
+    oracle = _oracle_atoms()
+    assert sorted(geo.SUITE_ATOMS) == sorted(oracle)
+    for d, rows in geo.SUITE_ATOMS.items():
+        assert len(rows) == len(oracle[d])
+        for (name, text, invariant), want in zip(rows, oracle[d]):
+            assert (name, geo.parse_gformula(text), invariant) == want, text

@@ -1,11 +1,12 @@
-import gc
 import itertools
 import random
+from functools import reduce
 
 import pytest
+from conftest import _cyclic_garbage_after
 
 from spectrumlab import hml
-from spectrumlab.equivalences import bisimilar, d_equivalent
+from spectrumlab.equivalences import d_equivalent
 from spectrumlab.lts import ParseError, catalog, catalog_systems, trace_lts
 
 
@@ -19,19 +20,6 @@ def test_parse_print_roundtrip():
         hml.parse_formula("<a>")
     with pytest.raises(ParseError):
         hml.parse_formula("T T")
-
-
-def _cyclic_garbage_after(call):
-    """What the cyclic collector finds after call(), run with the collector
-    off; a warm-up call first keeps one-time caches out of the count."""
-    call()
-    gc.collect()
-    gc.disable()
-    try:
-        call()
-        return gc.collect()
-    finally:
-        gc.enable()
 
 
 def test_parse_formula_leaves_no_cycle():
@@ -137,29 +125,17 @@ def test_characteristic_formula_contract():
         hml.characteristic_formula(catalog("selfLoop"), 0, 1)
 
 
+def test_characteristic_formula_leaves_no_cycle():
+    tree, _ = hml.tree_unravel(catalog("Q"), 0, 3)
+    assert _cyclic_garbage_after(
+        lambda: hml.characteristic_formula(tree, tree.root, 3)) == 0
+
+
 def test_truth_set():
     P = catalog("P_abc")
     fams = hml.canonical_formulas(P.alphabet, 1, "diamondOnly")
     ts = hml.truth_set(P, P.root, fams)
     assert 0 in ts  # T is formula 0 and always holds
-
-
-def test_bounded_invariance_suites():
-    for d in (0, 1, 2):
-        rows = hml.vanbenthem_suite(d)
-        assert rows and all(r["ok"] for r in rows)
-    counts = {d: len(hml.vanbenthem_suite(d)) for d in (0, 1, 2)}
-    assert counts == {0: 1, 1: 6, 2: 8}
-    with pytest.raises(ValueError):
-        hml.vanbenthem_suite(3)
-
-
-def test_witness_pairs_are_bisimilar():
-    for (M, sM, N, sN, rel) in hml._witness_pairs().values():
-        w = bisimilar(M, N)
-        assert w is not None
-        assert (M.state(sM), N.state(sN)) in {
-            (s, t) for (s, t) in [(M.state(a), N.state(b)) for (a, b) in rel]}
 
 
 def _holds_by_isinstance(G, s, phi):
@@ -289,3 +265,161 @@ def test_label_check_runs_on_every_call():
     assert hml.satisfies(trace_lts("abc"), 0, phi)
     with pytest.raises(ValueError, match="unknown label"):
         hml.satisfies(trace_lts("ac"), 0, phi.body)
+
+
+# The per-fragment branch chain, the order tuple and the string tests that
+# the FRAGMENTS table replaced, kept as their oracles.
+OLD_FRAGMENTS = ("traceObs", "diamondOnly", "positiveExistential", "ready",
+                 "full")
+
+
+def oracle_in_fragment(phi, fragment):
+    if fragment == "full":
+        return True
+    if isinstance(phi, hml.Top):
+        return True
+    if isinstance(phi, hml.Bot):
+        return fragment != "positiveExistential"
+    if isinstance(phi, hml.Diamond):
+        return oracle_in_fragment(phi.body, fragment)
+    if isinstance(phi, hml.Or):
+        if fragment == "positiveExistential":
+            return False
+        return (oracle_in_fragment(phi.left, fragment)
+                and oracle_in_fragment(phi.right, fragment))
+    if isinstance(phi, hml.And):
+        if fragment == "traceObs":
+            return False
+        return (oracle_in_fragment(phi.left, fragment)
+                and oracle_in_fragment(phi.right, fragment))
+    if isinstance(phi, hml.Neg):
+        return fragment == "ready" and hml._is_inability(phi)
+    if isinstance(phi, hml.Box):
+        return False
+    raise TypeError(phi)
+
+
+def oracle_fragment_of(phi):
+    for frag in ("positiveExistential", "traceObs", "diamondOnly", "ready",
+                 "full"):
+        if oracle_in_fragment(phi, frag):
+            return frag
+    return "full"
+
+
+def oracle_canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
+                              max_conj=2):
+    alphabet = tuple(sorted(alphabet))
+    terms_by_depth = {0: []}
+    if fragment in ("ready", "full"):
+        inabilities = [hml.Neg(hml.Diamond(a, hml.TOP)) for a in alphabet]
+    else:
+        inabilities = []
+
+    def conj_of(parts):
+        return reduce(hml.And, parts) if parts else hml.TOP
+
+    for d in range(1, max_depth + 1):
+        pool = [t for k in range(0, d) for t in terms_by_depth[k]]
+        if d == 1:
+            bodies = [hml.TOP]
+        else:
+            if fragment == "traceObs":
+                bodies = [hml.TOP] + pool
+            else:
+                body_pool = pool + (inabilities if d >= 2 else [])
+                bodies = []
+                limit = len(body_pool) if max_conj is None else max_conj
+                for k in range(0, limit + 1):
+                    for combo in itertools.combinations(body_pool, k):
+                        bodies.append(conj_of(list(combo)))
+        new_terms = []
+        for a in alphabet:
+            for b in bodies:
+                new_terms.append(hml.Diamond(a, b))
+            if fragment == "full":
+                for b in bodies:
+                    new_terms.append(hml.Box(a, b))
+        terms_by_depth[d] = new_terms
+
+    formulas = [hml.TOP]
+    if fragment not in ("positiveExistential",):
+        formulas.append(hml.BOT)
+    if fragment in ("ready", "full"):
+        formulas.extend(inabilities)
+    for d in range(1, max_depth + 1):
+        formulas.extend(terms_by_depth[d])
+    return formulas
+
+
+# node builders by kind; each random formula draws from one kind set
+_BUILDERS = {
+    "T": lambda rng, sub: hml.TOP,
+    "F": lambda rng, sub: hml.BOT,
+    "&": lambda rng, sub: hml.And(sub(), sub()),
+    "|": lambda rng, sub: hml.Or(sub(), sub()),
+    "<a>": lambda rng, sub: hml.Diamond(rng.choice("ab"), sub()),
+    "[a]": lambda rng, sub: hml.Box(rng.choice("ab"), sub()),
+    "!": lambda rng, sub: hml.Neg(sub()),
+    "!<a>T": lambda rng, sub: hml.Neg(hml.Diamond(rng.choice("ab"), hml.TOP)),
+}
+_KIND_SETS = (("T", "<a>", "&"), ("T", "F", "<a>", "|"),
+              ("T", "F", "<a>", "&", "|"),
+              ("T", "F", "<a>", "&", "|", "!<a>T"), tuple(_BUILDERS))
+
+
+def _random_formula(rng, kinds, d):
+    leaves = [k for k in kinds if k in ("T", "F", "!<a>T")]
+    kind = rng.choice(kinds if d else leaves)
+    return _BUILDERS[kind](rng, lambda: _random_formula(rng, kinds, d - 1))
+
+
+def test_fragment_table_matches_branch_chain():
+    assert set(hml.FRAGMENTS) == set(OLD_FRAGMENTS)
+    rng = random.Random(15)
+    seen_kinds = set()
+    smallest = set()
+    for _ in range(3000):
+        kinds = list(rng.choice(_KIND_SETS))
+        if rng.random() < 0.3:  # one kind outside the set
+            kinds.append(rng.choice(list(_BUILDERS)))
+        phi = _random_formula(rng, kinds, rng.randrange(5))
+        seen_kinds.update(kinds)
+        for frag in OLD_FRAGMENTS:
+            assert hml.in_fragment(phi, frag) == oracle_in_fragment(phi, frag), \
+                (phi, frag)
+        assert hml.fragment_of(phi) == oracle_fragment_of(phi), phi
+        smallest.add(hml.fragment_of(phi))
+    assert seen_kinds == set(_BUILDERS)
+    assert smallest == set(OLD_FRAGMENTS)
+    for bad in ("bogus", "Full", ""):
+        with pytest.raises(ValueError, match="unknown fragment"):
+            hml.in_fragment(hml.TOP, bad)
+        with pytest.raises(ValueError, match="unknown fragment"):
+            hml.canonical_formulas(("a",), 1, bad)
+    with pytest.raises(TypeError):
+        hml.in_fragment(hml.And(hml.TOP, object()), "diamondOnly")
+
+
+def test_canonical_formulas_match_string_tests():
+    """Every fragment, alphabet, depth 0-3 and conjunction bound, except the
+    complete depth-3 families whose depth-3 body pool, the depth-2 family
+    without T and F, exceeds 12 formulas: full over one label (19), ready
+    and full over two (36 and 262), i.e. 2^19 to 2^262 conjunction sets."""
+    too_big = []
+    for frag in OLD_FRAGMENTS:
+        for alphabet in (("*",), ("a", "b")):
+            for max_conj in (2, None):
+                for depth in range(4):
+                    if max_conj is None and depth == 3:
+                        pool = [p for p in oracle_canonical_formulas(
+                                    alphabet, 2, frag, None)
+                                if p not in (hml.TOP, hml.BOT)]
+                        if len(pool) > 12:
+                            too_big.append((frag, len(alphabet), len(pool)))
+                            continue
+                    case = (alphabet, depth, frag, max_conj)
+                    assert (hml.canonical_formulas(*case)
+                            == oracle_canonical_formulas(*case)), case
+    assert sorted(too_big) == [("full", 1, 19), ("full", 2, 262),
+                               ("ready", 2, 36)]

@@ -1,4 +1,3 @@
-import gc
 import itertools
 import os
 import random
@@ -7,6 +6,7 @@ import sys
 
 import networkx as nx
 import pytest
+from conftest import _cyclic_garbage_after
 from networkx.algorithms import isomorphism
 
 from spectrumlab import lindenbaum as lb
@@ -131,17 +131,9 @@ def test_nuclei():
         lb.enumerate_nuclei(big)
 
 
-def _cyclic_garbage_after(call):
-    """What the cyclic collector finds after call(), run with the collector
-    off; a warm-up call first keeps one-time caches out of the count."""
-    call()
-    gc.collect()
-    gc.disable()
-    try:
-        call()
-        return gc.collect()
-    finally:
-        gc.enable()
+def test_enumerate_nuclei_leaves_no_cycle():
+    L = lb.lindenbaum(catalog("hubSpokes")).lattice
+    assert _cyclic_garbage_after(lambda: lb.enumerate_nuclei(L)) == 0
 
 
 def test_automorphisms_leave_no_cycle():
