@@ -96,6 +96,15 @@ def heyting_implication_presheaf(G, v, phi, psi):
 # realization is a pair (n, edges), edge (s, a, t) being bit offsets[s, a] + t
 # of edges.  Its answer depends only on the pair, so a partition's distinct
 # pairs are collected in a set, and a T/&/<> evaluator decides psi on each.
+#
+# Realizing only ever adds edges and fresh states, numbered after the old
+# ones, so a pair embeds in every pair realized from it with the same state
+# numbers, and psi, being positive existential, stays true along that
+# embedding.  A pair at which psi already holds can therefore never lead to
+# a counterexample.  The oracle realizes phi one top-level conjunct at a
+# time and drops such pairs before each conjunct, the first time on the bare
+# quotient.  This evaluates psi only on pairs the oracle already holds; it
+# never consults the free extension whose answer the oracle checks.
 
 
 def _partitions(items):
@@ -152,6 +161,8 @@ def brute_force_implication(G, v, phi, psi, size_bound):
     independent of the free-extension construction."""
     _require_fragment(phi, G)
     _require_fragment(psi, G)
+    if size_bound < 1:
+        raise ValueError("size bound must be at least 1, not %d" % size_bound)
     if G.n > MAX_BRUTE_STATES:
         raise BudgetExceeded("exhaustive oracle", G.n, "base states",
                              MAX_BRUTE_STATES)
@@ -165,8 +176,12 @@ def brute_force_implication(G, v, phi, psi, size_bound):
         cls = {s: i for i, block in enumerate(blocks) for s in block}
         base = sum({1 << offsets[cls[s], a] + cls[t]
                     for (s, a, t) in G.transitions})
-        for n, edges in _realize({(len(blocks), base)}, cls[v], phi,
-                                 offsets, max_states):
+        reals = {(len(blocks), base)}
+        for conjunct in _conjuncts(phi):
+            reals = _realize({(n, edges) for n, edges in reals
+                              if not _holds_in(n, edges, cls[v], psi, offsets)},
+                             cls[v], conjunct, offsets, max_states)
+        for n, edges in reals:
             if not _holds_in(n, edges, cls[v], psi, offsets):
                 return False
     return True

@@ -298,6 +298,8 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
 
     max_conj bounds the size of conjunction sets under a modality; pass None
     for all subsets (complete for the depth <= 2 equivalence oracle).
+    The ready and full families list the inabilities !<a>T, of depth 1,
+    at every max_depth, 0 included.
     """
     kinds = _fragment_kinds(fragment)
     alphabet = tuple(sorted(alphabet))
@@ -327,6 +329,8 @@ def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
     false at root_N, or None if the bounded family has no separator."""
     if depth_bound > 3:
         raise ValueError("depth bound capped at 3")
+    if depth_bound < 0:
+        raise ValueError("depth bound must be at least 0, not %d" % depth_bound)
     alphabet = sorted(set(M.alphabet) | set(N.alphabet))
     shared = set(M.alphabet) & set(N.alphabet)
     for phi in canonical_formulas(alphabet, depth_bound, fragment):

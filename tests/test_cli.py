@@ -195,6 +195,7 @@ _BAD_JSON = {
     (["topology", "support", "Q"], 2),
     (["topology", "prefix", "ab"], 2),
     (["topology", "axioms", "--cls", "bogus"], 2),
+    (["distinguish", "Q", "P_abc", "--depth", "-1"], 2),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"

@@ -145,6 +145,111 @@ def _brute_force_by_systems(G, v, phi, psi, size_bound):
     return True
 
 
+# The oracle before it dropped pairs at which psi already holds: every
+# realization of phi on every quotient within the size bound is built.
+
+
+def _brute_force_unpruned(G, v, phi, psi, size_bound):
+    _require_fragment(phi, G)
+    _require_fragment(psi, G)
+    if G.n > MAX_BRUTE_STATES:
+        raise BudgetExceeded("exhaustive oracle", G.n, "base states",
+                             MAX_BRUTE_STATES)
+    max_states = size_bound + diamond_count(phi)
+    pairs = itertools.product(range(max_states), G.alphabet)
+    offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
+    for blocks in _partitions(list(range(G.n))):
+        if len(blocks) > size_bound:
+            continue
+        cls = {s: i for i, block in enumerate(blocks) for s in block}
+        base = sum({1 << offsets[cls[s], a] + cls[t]
+                    for (s, a, t) in G.transitions})
+        for n, edges in cl._realize({(len(blocks), base)}, cls[v], phi,
+                                    offsets, max_states):
+            if not cl._holds_in(n, edges, cls[v], psi, offsets):
+                return False
+    return True
+
+
+def _criterion_11_cases(rng, count):
+    """Criterion 11's seeded cases at formula depths 2 and 3, with at most
+    6 diamonds in the antecedent so that the unpruned oracle stays cheap."""
+    cases = []
+    for _ in range(count):
+        G = report._random_system(rng)
+        v = rng.randrange(G.n)
+        phi = report._random_pe_formula(rng, rng.choice((2, 3)))
+        while diamond_count(phi) > 6:
+            phi = report._random_pe_formula(rng, rng.choice((2, 3)))
+        cases.append((G, v, phi,
+                      report._random_pe_formula(rng, rng.choice((2, 3)))))
+    return cases
+
+
+def test_pruned_oracle_matches_unpruned(monkeypatch):
+    """Same verdicts as the unpruned oracle.  A partition is enumerated
+    exactly when psi fails on its bare quotient: the first conjunct's call
+    to _realize gets that quotient, or nothing when the filter dropped it."""
+    firsts, depth = [], [0]
+    realize = cl._realize
+
+    def counting(reals, *args):
+        if depth[0] == 0:
+            firsts.append(len(reals))
+        depth[0] += 1
+        try:
+            return realize(reals, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(cl, "_realize", counting)
+    verdicts, skipped, enumerated = set(), 0, 0
+    for G, v, phi, psi in _criterion_11_cases(random.Random(20261019), 300):
+        for size_bound in (G.n + 2, G.n, 1):
+            want = _brute_force_unpruned(G, v, phi, psi, size_bound)
+            firsts.clear()
+            verdict = cl.brute_force_implication(G, v, phi, psi, size_bound)
+            assert verdict == want
+            verdicts.add(verdict)
+            calls = firsts[::len(cl._conjuncts(phi))]
+            blocks = [b for b in _partitions(list(range(G.n)))
+                      if len(b) <= size_bound]
+            assert len(calls) == len(blocks) or not verdict
+            for got, part in zip(calls, blocks):
+                H0, cls = _quotient_by(G, part)
+                assert got == (0 if holds(H0, cls[v], psi) else 1)
+            skipped += calls.count(0)
+            enumerated += calls.count(1)
+    assert verdicts == {True, False}
+    assert skipped > 0 and enumerated > 0
+
+
+def test_oracle_never_builds_the_free_extension(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the oracle consulted the construction it checks")
+
+    for name in ("free_extension", "_adjoin", "heyting_implication_presheaf"):
+        monkeypatch.setattr(cl, name, refuse)
+    cases = [(G, v, P(p), P(q)) for (p, q, _) in report._REGIME_TABLE
+             for G in (catalog("Q"), catalog("P_abc")) for v in range(G.n)]
+    cases += _criterion_11_cases(random.Random(20261020), 50)
+    for G, v, phi, psi in cases:
+        assert isinstance(cl.brute_force_implication(G, v, phi, psi, G.n + 2),
+                          bool)
+    # psi outside the fragment is rejected even where it holds trivially
+    with pytest.raises(ValueError):
+        cl.brute_force_implication(catalog("Q"), 0, P("<a>T"), P("<a>T | T"),
+                                   3)
+
+
+def test_oracle_size_bound_below_one_is_an_error():
+    Q, phi, psi = catalog("Q"), P("<a>T"), P("<b>T")
+    assert cl.brute_force_implication(Q, 0, phi, psi, Q.n + 2) is False
+    for size_bound in (0, -1):
+        with pytest.raises(ValueError):
+            cl.brute_force_implication(Q, 0, phi, psi, size_bound)
+
+
 def _random_case(rng):
     """Shaped like criterion 11's seeded cases, kept cheap: at most 3
     states, and an antecedent of at most 4 diamonds (criterion 11's
