@@ -81,6 +81,8 @@ def mutually_similar(M, N):
 def d_simulates(M, N, d):
     """d-round bounded simulation of root_M by root_N: d synchronous rounds
     of the simulation step from all pairs (to the fixpoint when d is None)."""
+    if d is not None and d < 0:
+        raise ValueError("depth bound must be at least 0, not %d" % d)
     rows = _simulation(M, N, [(1 << N.n) - 1] * M.n, d)
     return rows[M.root] >> N.root & 1 == 1
 

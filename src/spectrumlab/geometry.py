@@ -412,13 +412,11 @@ def semantic_bridge_check(M):
     return rows
 
 
-def topos_separation_certificate(M, N, extra=()):
-    """First sequent from the named family (then user-supplied ones) on which
-    the two canonical models disagree.  Absence only means 'not separated by
-    the checked family'."""
-    candidates = [(nm, named_sigma(nm)) for nm in SIGMA_NAMES]
-    candidates += [(str(s), s) for s in extra]
-    for (nm, sigma) in candidates:
+def topos_separation_certificate(M, N):
+    """First sequent from the named family on which the two canonical models
+    disagree.  Absence only means 'not separated by the checked family'."""
+    for nm in SIGMA_NAMES:
+        sigma = named_sigma(nm)
         vm = eval_sequent(M, sigma)
         vn = eval_sequent(N, sigma)
         if vm != vn:

@@ -363,6 +363,8 @@ def d_equivalence_oracle(M, N, d):
 def tree_unravel(G, v, d):
     """The tree of computation paths of length <= d from v, with the
     endpoint projection homomorphism."""
+    if d < 0:
+        raise ValueError("depth bound must be at least 0, not %d" % d)
     paths = [((None, v),)]  # a path is a tuple of (incoming label, state)
     frontier = [((None, v),)]
     for _ in range(d):

@@ -324,10 +324,15 @@ def naive_instability_witness(bounds=SiteBounds()):
 
 def trace_support(G, length_bound):
     """Words w (|w| <= bound) admitting a root-preserving hom from the chain
-    system of w into G; coincides with the bounded trace language."""
-    words = ("".join(letters) for k in range(length_bound + 1)
-             for letters in itertools.product(sorted(G.alphabet), repeat=k))
-    return {w for w in words if enumerate_homs(trace_lts(w, G.alphabet), G)}
+    system of w into G; coincides with the bounded trace language.  As in
+    bounded_traces, a word is a tuple of labels until it is returned as the
+    join of its labels."""
+    if length_bound < 0:
+        raise ValueError("length bound must be at least 0, not %d"
+                         % length_bound)
+    return {"".join(w) for k in range(length_bound + 1)
+            for w in itertools.product(sorted(G.alphabet), repeat=k)
+            if enumerate_homs(trace_lts(w, G.alphabet), G)}
 
 
 def prefix_hom_check(w1, w2):

@@ -1,4 +1,8 @@
+import contextlib
 import gc
+import io
+
+from spectrumlab import cli
 
 
 def _cyclic_garbage_after(call):
@@ -12,3 +16,15 @@ def _cyclic_garbage_after(call):
         return gc.collect()
     finally:
         gc.enable()
+
+
+def run_cli(*argv):
+    """(exit code, stdout, stderr) of cli.main(argv) in this process; only
+    argparse's SystemExit is caught, so an escaping error fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()

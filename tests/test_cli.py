@@ -1,85 +1,78 @@
 import inspect
 import json
-import os
 import re
 import subprocess
 import sys
 
 import pytest
 
-import spectrumlab
+from conftest import run_cli
 from spectrumlab import cli, report
 from spectrumlab.lts import catalog, to_aut, to_json
 
 
-def run(capsys, *argv):
-    code = cli.main(list(argv))
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
-def test_equiv_levels(capsys):
-    code, out, _ = run(capsys, "equiv", "P_abc", "Q", "--level", "trace")
+def test_equiv_levels():
+    code, out, _ = run_cli("equiv", "P_abc", "Q", "--level", "trace")
     assert code == 0 and "trace: yes" in out
-    code, out, _ = run(capsys, "equiv", "P_abc", "Q")
+    code, out, _ = run_cli("equiv", "P_abc", "Q")
     assert code == 1 and "bisimilar: no" in out
-    code, out, _ = run(capsys, "equiv", "hubSpokes", "twoCycle",
-                       "--witness", "--functional")
+    code, out, _ = run_cli("equiv", "hubSpokes", "twoCycle",
+                           "--witness", "--functional")
     assert code == 0
     assert "bisimulation witness" in out and "quotient bridge" in out
-    code, out, _ = run(capsys, "equiv", "P_abc", "Q", "--level", "depth:1")
+    code, out, _ = run_cli("equiv", "P_abc", "Q", "--level", "depth:1")
     assert code == 0 and "formula oracle agrees: True" in out
-    code, out, _ = run(capsys, "equiv", "P_abc", "Q", "--level", "depth:2")
+    code, out, _ = run_cli("equiv", "P_abc", "Q", "--level", "depth:2")
     assert code == 1 and "formula oracle agrees: True" in out
 
 
-def test_equiv_all_json(capsys):
-    code, out, _ = run(capsys, "equiv", "P_abc", "Q", "--all", "--json")
+def test_equiv_all_json():
+    code, out, _ = run_cli("equiv", "P_abc", "Q", "--all", "--json")
     payload = json.loads(out)
     assert payload["trace"] is True and payload["bisimulation"] is False
     assert payload["depth2_oracle_agrees"] is True
 
 
-def test_distinguish(capsys):
-    code, out, _ = run(capsys, "distinguish", "Q", "P_abc")
+def test_distinguish():
+    code, out, _ = run_cli("distinguish", "Q", "P_abc")
     assert code == 0 and "formula:" in out
-    code, out, _ = run(capsys, "distinguish", "P_abc", "Q",
-                       "--fragment", "traceObs")
+    code, out, _ = run_cli("distinguish", "P_abc", "Q",
+                           "--fragment", "traceObs")
     assert code == 1
 
 
-def test_sigma(capsys):
-    code, out, _ = run(capsys, "sigma", "loop", "selfLoop")
+def test_sigma():
+    code, out, _ = run_cli("sigma", "loop", "selfLoop")
     assert code == 0 and "holds" in out
-    code, out, _ = run(capsys, "sigma", "loop", "twoCycle")
+    code, out, _ = run_cli("sigma", "loop", "twoCycle")
     assert code == 1
-    code, out, _ = run(capsys, "sigma", "bridge", "diamond")
+    code, out, _ = run_cli("sigma", "bridge", "diamond")
     assert code == 0
-    code, out, _ = run(capsys, "sigma", "separate", "selfLoop", "twoCycle")
+    code, out, _ = run_cli("sigma", "separate", "selfLoop", "twoCycle")
     assert code == 0 and "loop" in out
-    code, out, _ = run(capsys, "sigma", "custom",
-                       "D(x,y) & D(x,z) |- y = z", "selfLoop")
+    code, out, _ = run_cli("sigma", "custom",
+                           "D(x,y) & D(x,z) |- y = z", "selfLoop")
     assert code == 0
-    code, out, _ = run(capsys, "sigma", "nosuch", "selfLoop")
+    code, out, _ = run_cli("sigma", "nosuch", "selfLoop")
     assert code == 2
 
 
-def test_lattice(capsys):
-    code, out, _ = run(capsys, "lattice", "closure")
+def test_lattice():
+    code, out, _ = run_cli("lattice", "closure")
     assert code == 0 and "30 elements (13 named, 17 unnamed), rounds=3" in out
-    code, out, _ = run(capsys, "lattice", "irreducibles", "--json")
+    code, out, _ = run_cli("lattice", "irreducibles", "--json")
     payload = json.loads(out)
     assert payload["join"] == 10 and payload["meet"] == 10
-    code, out, _ = run(capsys, "lattice", "biheyting")
+    code, out, _ = run_cli("lattice", "biheyting")
     assert code == 0 and "Boolean core" in out
-    code, out, _ = run(capsys, "lattice", "coordinatization", "--json")
+    code, out, _ = run_cli("lattice", "coordinatization", "--json")
     payload = json.loads(out)
     assert payload["join"] == 13
 
 
-def test_lindenbaum(capsys):
-    code, out, _ = run(capsys, "lindenbaum", "hubSpokes",
-                       "--nuclei", "--symmetry", "--json")
+def test_lindenbaum():
+    code, out, _ = run_cli("lindenbaum", "hubSpokes",
+                           "--nuclei", "--symmetry", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["models"] == 3 and payload["size"] == 5
@@ -87,71 +80,71 @@ def test_lindenbaum(capsys):
     assert payload["kernel"] == 1 and payload["image"] == 2
 
 
-def test_lindenbaum_symmetry_searches_once(capsys, monkeypatch):
+def test_lindenbaum_symmetry_searches_once(monkeypatch):
     from spectrumlab import lindenbaum as lb
     calls = []
     search = lb.automorphisms
     monkeypatch.setattr(lb, "automorphisms",
                         lambda G: calls.append(G) or search(G))
-    code, out, _ = run(capsys, "lindenbaum", "twoCycle", "--symmetry")
+    code, out, _ = run_cli("lindenbaum", "twoCycle", "--symmetry")
     assert code == 0 and len(calls) == 1
     assert "automorphisms: 2, kernel: 2, image: 1" in out
     assert "kernel dichotomy: maximal (structural reading agrees: True)" in out
 
 
-def test_topology(capsys):
-    code, out, _ = run(capsys, "topology", "matrix", "fan(2)")
+def test_topology():
+    code, out, _ = run_cli("topology", "matrix", "fan(2)")
     assert code == 0 and "covering" in out
-    code, out, _ = run(capsys, "topology", "instability")
+    code, out, _ = run_cli("topology", "instability")
     assert code == 0 and "naive covering: True" in out
-    code, out, _ = run(capsys, "topology", "support", "Q", "2", "--json")
+    code, out, _ = run_cli("topology", "support", "Q", "2", "--json")
     payload = json.loads(out)
     assert payload["words"] == ["", "a", "ab", "ac"]
-    code, out, _ = run(capsys, "topology", "prefix", "ab", "abab")
+    code, out, _ = run_cli("topology", "prefix", "ab", "abab")
     assert code == 0 and "law holds: True" in out
-    code, out, _ = run(capsys, "topology", "density", "fanLTS(ab,ac)")
+    code, out, _ = run_cli("topology", "density", "fanLTS(ab,ac)")
     assert code == 0
 
 
-def test_himp(capsys):
-    code, out, _ = run(capsys, "himp", "Q", "q0", "<a>T", "<a>T",
-                       "--regime", "--checks")
+def test_himp():
+    code, out, _ = run_cli("himp", "Q", "q0", "<a>T", "<a>T",
+                           "--regime", "--checks")
     assert code == 0
     assert "bounded oracle agrees: True" in out
     assert "regime: entailment" in out
-    code, out, _ = run(capsys, "himp", "Q", "q0", "<a>T", "<b>T")
+    code, out, _ = run_cli("himp", "Q", "q0", "<a>T", "<b>T")
     assert code == 1
-    code, out, _ = run(capsys, "himp", "Q", "q0", "<a>T |", "<b>T")
+    code, out, _ = run_cli("himp", "Q", "q0", "<a>T |", "<b>T")
     assert code == 2
 
 
-def test_unravel(capsys):
-    code, out, _ = run(capsys, "unravel", "diamond", "a", "2", "--formula")
+def test_unravel():
+    code, out, _ = run_cli("unravel", "diamond", "a", "2", "--formula")
     assert code == 0
     for nm in ("ε", "bd", "cd"):
         assert nm in out
     assert "standard translation" in out
 
 
-def test_vanbenthem(capsys):
+def test_vanbenthem():
     for d in ("0", "1", "2"):
-        code, out, _ = run(capsys, "vanbenthem", d)
+        code, out, _ = run_cli("vanbenthem", d)
         assert code == 0 and "FAIL" not in out
 
 
-def test_show_roundtrip(capsys, tmp_path):
-    code, out, _ = run(capsys, "show", "Q")
+def test_show_roundtrip(tmp_path):
+    code, out, _ = run_cli("show", "Q")
     assert code == 0 and out == to_aut(catalog("Q"))
     path = tmp_path / "q.json"
     path.write_text(to_json(catalog("Q")))
-    code, out, _ = run(capsys, "show", str(path), "--format", "json")
+    code, out, _ = run_cli("show", str(path), "--format", "json")
     assert code == 0 and json.loads(out) == json.loads(to_json(catalog("Q")))
 
 
-def test_usage_errors(capsys):
-    code, _, err = run(capsys, "equiv", "nosuch", "Q")
+def test_usage_errors():
+    code, _, err = run_cli("equiv", "nosuch", "Q")
     assert code == 2 and "unknown system" in err
-    code, _, err = run(capsys, "equiv", "P_abc", "Q", "--level", "nope")
+    code, _, err = run_cli("equiv", "P_abc", "Q", "--level", "nope")
     assert code == 2
 
 
@@ -196,6 +189,9 @@ _BAD_JSON = {
     (["topology", "prefix", "ab"], 2),
     (["topology", "axioms", "--cls", "bogus"], 2),
     (["distinguish", "Q", "P_abc", "--depth", "-1"], 2),
+    (["equiv", "P_abc", "Q", "--level", "depth:-1"], 2),
+    (["unravel", "Q", "q0", "-1"], 2),
+    (["topology", "support", "Q", "-1"], 2),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"
@@ -204,16 +200,31 @@ def test_errors_are_not_verdicts(tmp_path, argv, code):
             dict({"states": ["a", "b"], "alphabet": ["x"], "root": "a"},
                  **fields)))
     argv = [str(tmp_path / a) if a in _BAD_JSON else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(
-        os.path.dirname(spectrumlab.__file__)))
-    proc = subprocess.run([sys.executable, "-m", "spectrumlab.cli"] + argv,
-                          capture_output=True, text=True, env=env, timeout=30)
-    assert proc.returncode == code
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    if argv in (["topology", "matrix"], ["lindenbaum", "fan(30)"]):
+        # pin the `python -m` entry point and sys.exit(main()), once per code
+        proc = subprocess.run([sys.executable, "-m", "spectrumlab.cli", *argv],
+                              capture_output=True, text=True, timeout=30)
+        got, err = proc.returncode, proc.stderr
+    else:
+        got, _, err = run_cli(*argv)
+    assert got == code
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
     # an exhausted budget says how much was asked for, and the limit
     for number in _BUDGET_NUMBERS.get(tuple(argv), ()):
-        assert re.search(r"\b%d\b" % number, proc.stderr), number
+        assert re.search(r"\b%d\b" % number, err), number
+
+
+def test_topology_support_multi_character_labels(tmp_path):
+    # a label is an atom: "go" is one step, not the letters g and o
+    path = tmp_path / "gostop.json"
+    path.write_text(json.dumps({
+        "states": ["s", "t", "u", "v"], "alphabet": ["go", "stop"],
+        "root": "s", "transitions": [["s", "go", "t"], ["t", "go", "u"],
+                                     ["t", "stop", "v"]]}))
+    code, out, err = run_cli("topology", "support", str(path), "2")
+    assert code == 0, err
+    assert "support: '', 'go', 'gogo', 'gostop'" in out
 
 
 def test_cli_surface_mentions_core_operations():

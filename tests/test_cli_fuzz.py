@@ -7,14 +7,12 @@ a second: catalog systems except U (whose Lindenbaum algebra alone takes tens
 of seconds), parametric systems with small numbers, little .aut/.json files,
 and formulas and sequents from a grammar mixed with raw junk text."""
 
-import contextlib
-import io
 import json
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spectrumlab import cli
+from conftest import run_cli
 from spectrumlab.lts import catalog_names
 
 LABELS = ("a", "b", "c", "*", "x")
@@ -202,13 +200,8 @@ def test_cli_answers_with_a_documented_exit_status(tmp_path, argv, file):
     path = tmp_path / name
     path.write_text(text)
     argv = [str(path) if a == "FILE" else a for a in argv]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as e:  # argparse rejects the command line
-            code = e.code
+    code, out, err = run_cli(*argv)
     assert code in (0, 1, 2, 3), (argv, code)
-    assert "Traceback" not in err.getvalue() + out.getvalue()
-    if code in (2, 3) and not err.getvalue().startswith("usage:"):
-        assert err.getvalue().startswith("error: "), err.getvalue()
+    assert "Traceback" not in err + out
+    if code in (2, 3) and not err.startswith("usage:"):
+        assert err.startswith("error: "), err

@@ -96,10 +96,12 @@ def test_separation_certificate():
     assert out is not None and out["name"] == "loop" and out["holds_in"] == "first"
     assert geo.topos_separation_certificate(catalog("selfLoop"),
                                             catalog("selfLoop")) is None
-    extra = [geo.parse_sequent("T |- E y. (D(x,y) & D(y,x))")]
-    out2 = geo.topos_separation_certificate(
-        catalog("twoCycle"), catalog("path"), extra=extra)
-    assert out2 is not None
+    # the named family misses what separates twoCycle from path: every
+    # state lies on a 2-cycle
+    two, path = catalog("twoCycle"), catalog("path")
+    assert geo.topos_separation_certificate(two, path) is None
+    sigma = geo.parse_sequent("T |- E y. (D(x,y) & D(y,x))")
+    assert geo.eval_sequent(two, sigma) and not geo.eval_sequent(path, sigma)
 
 
 def test_standard_translation():

@@ -107,10 +107,23 @@ def test_naive_instability_witness():
     assert w["identity_in_pullback"] is False
 
 
+def _multi_character_systems(seed, count):
+    """Seeded systems over labels that are words; g.o and go join alike."""
+    rng = random.Random(seed)
+    labels = ("go", "g", "o", "stop")
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        trans = frozenset((rng.randrange(n), rng.choice(labels),
+                           rng.randrange(n)) for _ in range(rng.randint(0, 6)))
+        yield FinLTS(n, labels, rng.randrange(n), trans)
+
+
 def test_trace_support_equals_bounded_traces():
     for name in ("P_abc", "Q", "R6", "selfLoop", "diamond"):
         G = catalog(name)
         assert tp.trace_support(G, 3) == bounded_traces(G, 3), name
+    for G in _multi_character_systems(20261019, 30):
+        assert tp.trace_support(G, 3) == bounded_traces(G, 3), G
 
 
 def test_prefix_hom_law():
