@@ -345,7 +345,12 @@ def cmd_topology(args):
                        and not wit["pullback_covering"]) else 1
     elif args.topic == "support":
         G = _load_system(args.M)
-        words = sorted(tp.trace_support(G, int(args.N)))
+        try:
+            length = int(args.N)
+        except ValueError:
+            raise UsageError("topology support: length must be an integer, "
+                             "not %r" % args.N)
+        words = sorted(tp.trace_support(G, length))
         lines.append("support: %s" % ", ".join(repr(w) for w in words))
         payload = {"words": words}
     elif args.topic == "prefix":

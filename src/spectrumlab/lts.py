@@ -80,6 +80,25 @@ class FinLTS:
         return _adjacency(self.n, self.transitions)
 
     @cached_property
+    def _hom_plan(self):
+        """enumerate_homs's plan from this system: back_edges over the BFS
+        order from the root, then any unreachable states; per position k an
+        anchor (i, a), an edge i -a-> k with i < k, or None; per state its
+        position."""
+        order, seen = [self.root], {self.root}
+        for u in order:
+            for v in self.successors(u):
+                if v not in seen:
+                    seen.add(v)
+                    order.append(v)
+        order += [s for s in range(self.n) if s not in seen]
+        back = back_edges(self, order)
+        anchors = tuple(next(((i, a) for (i, a, j) in row if i < j == k), None)
+                        for k, row in enumerate(back))
+        return (tuple(map(tuple, back)), anchors,
+                tuple(sorted(range(self.n), key=order.__getitem__)))
+
+    @cached_property
     def _in(self):
         """Per state: label -> sorted list of predecessors."""
         return _adjacency(self.n, ((t, a, s) for (s, a, t) in self.transitions))
@@ -237,42 +256,38 @@ def identity_hom(G):
 
 def enumerate_homs(T, G):
     """All root- and label-preserving homomorphisms T -> G, sorted by
-    mapping: T's states are assigned in BFS order from the root, then any
-    unreachable ones, each image keeping the edges back to those assigned.
-    The budget counts candidate partial assignments; exceeding it raises
-    BudgetExceeded rather than returning a wrong answer."""
-    order, seen = [T.root], {T.root}
-    for u in order:
-        for v in T.successors(u):
-            if v not in seen:
-                seen.add(v)
-                order.append(v)
-    order += [s for s in range(T.n) if s not in seen]
-    found = []  # image tuples indexed by position in order
-    _extend_hom(G, back_edges(T, order), [], 0, enumeration_budget(), found)
-    pos = {s: k for k, s in enumerate(order)}
+    mapping: T's states are assigned in the order of T._hom_plan, an
+    anchored one among the successors of its anchor's image, each image
+    keeping the edges back to those assigned.  The budget counts 1 for the
+    root and G.n per partial assignment extended, as if all of G were
+    tried; exceeding it raises BudgetExceeded, never a wrong answer."""
+    back, anchors, pos = T._hom_plan
+    found = []  # image tuples indexed by position in the plan's order
+    _extend_hom(G, back, anchors, [], 0, enumeration_budget(), found)
     return [Homomorphism(T, G, m) for m in sorted(
-        tuple(images[pos[s]] for s in range(T.n)) for images in found)]
+        tuple(images[k] for k in pos) for images in found)]
 
 
-def _extend_hom(G, back, images, tried, budget, results):
+def _extend_hom(G, back, anchors, images, tried, budget, results):
     """Assign position len(images) each image that keeps its back edges (the
-    root, at 0, only G's root) and recurse; returns the candidates tried."""
+    root, at 0, only G's root) and recurse; returns the candidates counted."""
     k = len(images)
     if k == len(back):
         results.append(tuple(images))
         return tried
-    for g in range(G.n) if k else (G.root,):
-        tried += 1
-        if tried > budget:
-            raise BudgetExceeded("hom enumeration", tried, "candidates",
-                                 budget)
+    tried += G.n if k else 1
+    if tried > budget:
+        raise BudgetExceeded("hom enumeration", budget + 1, "candidates",
+                             budget)
+    for g in ((G.root,) if not k else range(G.n) if anchors[k] is None
+              else G._out[images[anchors[k][0]]].get(anchors[k][1], ())):
         images.append(g)
         for (i, a, j) in back[k]:
             if (images[i], a, images[j]) not in G.transitions:
                 break
         else:
-            tried = _extend_hom(G, back, images, tried, budget, results)
+            tried = _extend_hom(G, back, anchors, images, tried, budget,
+                                results)
         images.pop()
     return tried
 
@@ -417,11 +432,15 @@ def to_json(G):
 
 
 def path_digraph(n):
+    if n < 0:
+        raise ValueError("pathDigraph(n) needs n >= 0, not %d" % n)
     names = [str(i) for i in range(n + 1)]
     return unlabeled(names, "0", [(str(i), str(i + 1)) for i in range(n)])
 
 
 def fan(k):
+    if k < 0:
+        raise ValueError("fan(k) needs k >= 0, not %d" % k)
     names = ["r"] + ["l%d" % i for i in range(1, k + 1)]
     return unlabeled(names, "r", [("r", "l%d" % i) for i in range(1, k + 1)])
 

@@ -146,16 +146,23 @@ def test_usage_errors():
     assert code == 2 and "unknown system" in err
     code, _, err = run_cli("equiv", "P_abc", "Q", "--level", "nope")
     assert code == 2
+    code, _, err = run_cli("topology", "support", "Q", "x")
+    assert code == 2
+    assert err == ("error: topology support: length must be an integer, "
+                   "not 'x'\n")
 
 
 # used and limit: 30 free atoms (24), 12 states (10), 10 base states (8),
 # 50003 lattice elements (50000): the 7-edge star's up-sets number about
-# 2.4e12, so only the lattice cap stops the enumeration
+# 2.4e12, so only the lattice cap stops the enumeration; under
+# SPECTRUM_BUDGET=3, 4 hom candidates (3): a hom search reports one past
+# its limit
 _BUDGET_NUMBERS = {
     ("lindenbaum", "fan(30)"): (30, 24),
     ("lindenbaum", "fan(7)"): (50003, 50000),
     ("lindenbaum", "pathDigraph(11)", "--symmetry"): (12, 10),
     ("himp", "pathDigraph(9)", "0", "<*>T", "<*>T"): (10, 8),
+    ("topology", "prefix", "ab", "abb"): (4, 3),
 }
 
 _BAD_JSON = {
@@ -192,6 +199,9 @@ _BAD_JSON = {
     (["equiv", "P_abc", "Q", "--level", "depth:-1"], 2),
     (["unravel", "Q", "q0", "-1"], 2),
     (["topology", "support", "Q", "-1"], 2),
+    (["topology", "support", "Q", "x"], 2),
+    (["lindenbaum", "fan(-1)"], 2),
+    (["lindenbaum", "pathDigraph(-1)"], 2),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"
@@ -212,6 +222,17 @@ def test_errors_are_not_verdicts(tmp_path, argv, code):
     assert err.startswith("error: ")
     # an exhausted budget says how much was asked for, and the limit
     for number in _BUDGET_NUMBERS.get(tuple(argv), ()):
+        assert re.search(r"\b%d\b" % number, err), number
+
+
+def test_hom_budget_names_amount_and_limit(monkeypatch):
+    # the hom search counts every state of the target per extended
+    # assignment, so a set budget stops it where it always did
+    monkeypatch.setenv("SPECTRUM_BUDGET", "3")
+    argv = ("topology", "prefix", "ab", "abb")
+    code, _, err = run_cli(*argv)
+    assert code == 3 and err.startswith("error: budget exceeded: ")
+    for number in _BUDGET_NUMBERS[argv]:
         assert re.search(r"\b%d\b" % number, err), number
 
 

@@ -537,6 +537,111 @@ def test_enumerate_homs_matches_closure_search(budget, monkeypatch):
     assert bool(seen["budget"]) == (budget is not None), seen
 
 
+# The back-edge search before each system kept its plan: BFS order and
+# table rebuilt on every call, and every state of G tried at each position
+# (bodies as they were, budget and error from the module).
+
+
+def oracle_unanchored_enumerate_homs(T, G):
+    from spectrumlab.lts import back_edges, enumeration_budget
+    order, seen = [T.root], {T.root}
+    for u in order:
+        for v in T.successors(u):
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+    order += [s for s in range(T.n) if s not in seen]
+    found = []  # image tuples indexed by position in order
+    _unanchored_extend_hom(G, back_edges(T, order), [], 0,
+                           enumeration_budget(), found)
+    pos = {s: k for k, s in enumerate(order)}
+    return [Homomorphism(T, G, m) for m in sorted(
+        tuple(images[pos[s]] for s in range(T.n)) for images in found)]
+
+
+def _unanchored_extend_hom(G, back, images, tried, budget, results):
+    from spectrumlab.lts import BudgetExceeded
+    k = len(images)
+    if k == len(back):
+        results.append(tuple(images))
+        return tried
+    for g in range(G.n) if k else (G.root,):
+        tried += 1
+        if tried > budget:
+            raise BudgetExceeded("hom enumeration", tried, "candidates",
+                                 budget)
+        images.append(g)
+        for (i, a, j) in back[k]:
+            if (images[i], a, images[j]) not in G.transitions:
+                break
+        else:
+            tried = _unanchored_extend_hom(G, back, images, tried, budget,
+                                           results)
+        images.pop()
+    return tried
+
+
+def _relabeled(G, names):
+    return FinLTS(G.n, tuple(names[a] for a in G.alphabet), G.root,
+                  frozenset((s, names[a], t) for (s, a, t) in G.transitions))
+
+
+@pytest.mark.parametrize("budget", [None, "0", "1", "3", "7", "20"])
+def test_planned_hom_search_matches_unanchored_search(budget, monkeypatch):
+    """Same mappings in the same order, or the same budget message, on 500
+    seeded (T, G) pairs of up to 6 states: self-loops, states of T its root
+    cannot reach, and, in every other pair, labels of several characters
+    (one a prefix of another)."""
+    if budget is None:
+        monkeypatch.delenv("SPECTRUM_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("SPECTRUM_BUDGET", budget)
+    rng = random.Random(20261020)
+    long_names = {"a": "go", "b": "g", "c": "stop"}
+    seen = {"homs": 0, "none": 0, "budget": 0, "self-loop": 0,
+            "unreachable": 0, "long labels": 0}
+    for draw in range(500):
+        T, G = _random_system(rng), _random_system(rng)
+        if set(T.alphabet) - set(G.alphabet):
+            G = FinLTS(G.n, T.alphabet, G.root, G.transitions)
+        if draw % 2:
+            T, G = _relabeled(T, long_names), _relabeled(G, long_names)
+            seen["long labels"] += 1
+        got = _homs_or_error(enumerate_homs, T, G)
+        assert got == _homs_or_error(oracle_unanchored_enumerate_homs,
+                                     T, G), (T, G)
+        seen["budget" if isinstance(got, str) else
+             "homs" if got else "none"] += 1
+        seen["self-loop"] += any(s == t for (s, _, t) in T.transitions)
+        seen["unreachable"] += len(reachable_from(T, T.root)) < T.n
+    assert seen["self-loop"] and seen["unreachable"] and seen["long labels"]
+    assert budget == "0" or (seen["homs"] and seen["none"]), seen
+    assert bool(seen["budget"]) == (budget is not None), seen
+
+
+def test_hom_plan_is_kept_on_the_source_and_leaves_it_unchanged():
+    """The plan is computed once, holds only tuples, survives searches into
+    different targets unchanged, and does not enter == or hash."""
+    T = FinLTS(4, ("go", "g"), 0, frozenset(
+        {(0, "go", 1), (0, "g", 2), (1, "g", 1), (2, "go", 1)}))
+    fresh = FinLTS(T.n, T.alphabet, T.root, T.transitions)
+    before = hash(T)
+    plan = T._hom_plan
+    assert enumerate_homs(T, _relabeled(catalog("selfLoop"),
+                                        {"*": "go"})) == []
+    assert len(enumerate_homs(T, FinLTS(2, ("go", "g"), 0, frozenset(
+        (s, a, t) for s in (0, 1) for a in ("go", "g")
+        for t in (0, 1))))) == 8
+    assert T._hom_plan is plan and plan == fresh._hom_plan
+    back, anchors, pos = plan
+    assert type(plan) is tuple and all(type(p) is tuple for p in plan)
+    assert all(type(row) is tuple for row in back)
+    assert all(a is None or type(a) is tuple for a in anchors)
+    # state 3 is unreachable and has no edges: it keeps all of G
+    assert anchors == (None, (0, "go"), (0, "g"), None) and pos == (0, 1, 2, 3)
+    assert T == fresh and hash(T) == before == hash(fresh)
+
+
 def _fan_lts_two_loops(w1, w2):
     """`fan_lts` as it was, one loop per branch: its oracle."""
     names = ["0"]
