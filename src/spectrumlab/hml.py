@@ -203,6 +203,35 @@ _HOLDS = {
 }
 
 
+def extension(G, phi, memo):
+    """Int mask (bit s for state s) of the states of G where phi holds, built
+    bottom up.  memo maps id(node) -> mask on G: keep the formulas alive."""
+    mask = memo.get(id(phi))
+    if mask is None:
+        kind, full = type(phi), (1 << G.n) - 1
+        if kind is Top or kind is Bot:
+            mask = full if kind is Top else 0
+        elif kind is And or kind is Or:
+            left = extension(G, phi.left, memo)
+            right = extension(G, phi.right, memo)
+            mask = left & right if kind is And else left | right
+        elif kind is Neg:
+            mask = full ^ extension(G, phi.body, memo)
+        elif kind is Diamond or kind is Box:  # [a]phi is !<a>!phi
+            flip = 0 if kind is Diamond else full
+            rest, pre = extension(G, phi.body, memo) ^ flip, 0
+            while rest:  # a label outside the alphabet has no moves
+                low = rest & -rest
+                for u in G._in[low.bit_length() - 1].get(phi.label, ()):
+                    pre |= 1 << u
+                rest ^= low
+            mask = pre ^ flip
+        else:
+            raise TypeError(phi)
+        memo[id(phi)] = mask
+    return mask
+
+
 # ---------------------------------------------------------------------------
 # parser / printer  (syntax: T, F, &, |, !, <a>, [a], parentheses)
 
@@ -341,8 +370,11 @@ def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
 
 
 def truth_set(G, s, formulas):
+    for phi in formulas:  # the first formula with an unknown label raises
+        require_labels(G, phi)
+    memo = {}
     return frozenset(i for i, phi in enumerate(formulas)
-                     if satisfies(G, s, phi))
+                     if extension(G, phi, memo) >> s & 1)
 
 
 def d_equivalence_oracle(M, N, d):

@@ -517,10 +517,10 @@ def _fixed_catalog():
 _CATALOG = _fixed_catalog()
 
 PARAMETRIC = {
-    "pathDigraph": lambda n: path_digraph(int(n)),
-    "fan": lambda k: fan(int(k)),
-    "traceLTS": lambda w: trace_lts(w),
-    "fanLTS": lambda w1, w2: fan_lts(w1, w2),
+    "pathDigraph": (path_digraph, 1, True, "one integer n >= 0"),
+    "fan": (fan, 1, True, "one integer k >= 0"),
+    "traceLTS": (trace_lts, 1, False, "one word w"),
+    "fanLTS": (fan_lts, 2, False, "two words w1, w2"),
 }
 
 
@@ -530,7 +530,12 @@ def catalog(name, *params):
             raise ValueError("%s takes no parameters" % name)
         return _CATALOG[name]
     if name in PARAMETRIC:
-        return PARAMETRIC[name](*params)
+        build, arity, integer, takes = PARAMETRIC[name]
+        if len(params) != arity or integer and not re.fullmatch(
+                r"\s*[+-]?\d+\s*", str(params[0])):
+            raise ValueError("%s takes %s, got %s" % (
+                name, takes, ", ".join(map(repr, params)) or "no argument"))
+        return build(*(int(p) for p in params) if integer else params)
     raise KeyError("unknown catalog name: %s" % name)
 
 

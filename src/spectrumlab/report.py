@@ -429,8 +429,10 @@ def criterion_12():
             T, _ = hml.tree_unravel(G, G.root, d)
             if not hml.tree_shape_checks(T):
                 shapes = False
+            on_g, on_t = {}, {}
             for phi in hml.canonical_formulas(G.alphabet, d, "diamondOnly"):
-                if hml.satisfies(G, G.root, phi) != hml.satisfies(T, 0, phi):
+                if (hml.extension(G, phi, on_g) >> G.root & 1
+                        != hml.extension(T, phi, on_t) & 1):
                     preserve = False
     rows.append(_row("depth-d formulas preserved for every system, d <= 3",
                      preserve))

@@ -202,6 +202,10 @@ _BAD_JSON = {
     (["topology", "support", "Q", "x"], 2),
     (["lindenbaum", "fan(-1)"], 2),
     (["lindenbaum", "pathDigraph(-1)"], 2),
+    (["lindenbaum", "fan(x)"], 2),
+    (["lindenbaum", "fan()"], 2),
+    (["lindenbaum", "fan(1,2)"], 2),
+    (["lindenbaum", "fanLTS(a)"], 2),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"
@@ -223,6 +227,9 @@ def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an exhausted budget says how much was asked for, and the limit
     for number in _BUDGET_NUMBERS.get(tuple(argv), ()):
         assert re.search(r"\b%d\b" % number, err), number
+    # a malformed family argument names the family and what it takes
+    if argv == ["lindenbaum", "fan(x)"]:
+        assert err == "error: fan takes one integer k >= 0, got 'x'\n"
 
 
 def test_hom_budget_names_amount_and_limit(monkeypatch):

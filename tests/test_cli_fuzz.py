@@ -205,3 +205,36 @@ def test_cli_answers_with_a_documented_exit_status(tmp_path, argv, file):
     assert "Traceback" not in err + out
     if code in (2, 3) and not err.startswith("usage:"):
         assert err.startswith("error: "), err
+
+
+@st.composite
+def _negative_bound(draw):
+    """A bounded command with its bound drawn below the documented range,
+    and that bound."""
+    n = str(draw(st.integers(-10**6, -1)))
+    system = lambda: draw(st.sampled_from(CATALOG))  # noqa: E731
+    family = "%s(%s)" % (draw(st.sampled_from(["fan", "pathDigraph"])), n)
+    argv = draw(st.sampled_from([
+        ["unravel", *draw(st.sampled_from([
+            ("selfLoop", "a"), ("Q", "q1"), ("diamond", "b"), ("fan(2)", "r"),
+            ("traceLTS(ab)", "0")])), n],
+        ["topology", "support", system(), n],
+        ["distinguish", system(), system(), "--depth", n],
+        ["equiv", system(), system(), "--level", "depth:" + n],
+        ["lindenbaum", family],
+        ["equiv", system(), family],
+    ]))
+    return argv, n
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_negative_bound())
+def test_negative_bounds_exit_2_with_one_error_line(case):
+    argv, n = case
+    code, out, err = run_cli(*argv)
+    assert code == 2, (argv, code, out, err)
+    assert out == ""
+    # one error line, and it is about the bound: it ends with the number
+    assert err.startswith("error: ") and err.endswith(", not %s\n" % n), \
+        (argv, err)
+    assert err.count("\n") == 1

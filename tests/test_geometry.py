@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from conftest import _cyclic_garbage_after
 
 from spectrumlab import geometry as geo
-from spectrumlab.equivalences import bisimilar
+from spectrumlab.equivalences import bisimilar, greatest_bisimulation
 from spectrumlab.hml import parse_formula
 from spectrumlab.lts import ParseError, catalog, unlabeled_catalog_systems
 
@@ -139,6 +141,53 @@ def test_bounded_invariance_suites():
     assert counts == {0: 1, 1: 6, 2: 8}
     with pytest.raises(ValueError):
         geo.vanbenthem_suite(3)
+
+
+def _suite_by_pairs(d):
+    """vanbenthem_suite as it was before each atom was evaluated once per
+    state: an invariant atom is evaluated at both states of every bisimilar
+    pair.  Kept as the suite's oracle."""
+    pairs = geo._witness_pairs()
+    rows = []
+    for (name, text, invariant) in geo.SUITE_ATOMS[d]:
+        formula = geo.parse_gformula(text)
+        if invariant:
+            systems = sorted(unlabeled_catalog_systems().items())
+            ok = all(geo.eval_formula(M, formula, {"x": s})
+                     == geo.eval_formula(N, formula, {"x": t})
+                     for (_, M), (_, N) in itertools.combinations(systems, 2)
+                     for (s, t) in sorted(greatest_bisimulation(M, N)))
+            rows.append({"atom": name, "invariant": True, "ok": ok,
+                         "witness": None})
+        else:
+            wname = geo.ATOM_WITNESS[(d, name)]
+            (M, sM, N, sN, rel) = pairs[wname]
+            rel_idx = frozenset((M.state(a), N.state(b)) for (a, b) in rel)
+            is_bisim = (bisimilar(M, N) is not None
+                        and rel_idx <= greatest_bisimulation(M, N)
+                        and (M.state(sM), N.state(sN)) in rel_idx)
+            vm = geo.eval_formula(M, formula, {"x": M.state(sM)})
+            vn = geo.eval_formula(N, formula, {"x": N.state(sN)})
+            rows.append({"atom": name, "invariant": False,
+                         "ok": bool(is_bisim and vm != vn),
+                         "witness": (wname, vm, vn)})
+    return rows
+
+
+def test_suite_matches_per_pair_oracle():
+    for d in (0, 1, 2):
+        assert geo.vanbenthem_suite(d) == _suite_by_pairs(d)
+
+
+def test_loosened_suite_fails_like_its_oracle(monkeypatch):
+    # marked invariant, the separated depth-1 atoms must fail to transfer
+    monkeypatch.setitem(geo.SUITE_ATOMS, 1, [
+        (name, text, True) for (name, text, _) in geo.SUITE_ATOMS[1]])
+    rows = geo.vanbenthem_suite(1)
+    assert rows == _suite_by_pairs(1)
+    assert [r["atom"] for r in rows if not r["ok"]] == [
+        "diag", "has-predecessor", "exists-self-loop", "mutual-neighbor",
+        "successor-with-loop"]
 
 
 def test_witness_pairs_are_bisimilar():

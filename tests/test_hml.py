@@ -7,7 +7,8 @@ from conftest import _cyclic_garbage_after
 
 from spectrumlab import hml
 from spectrumlab.equivalences import d_equivalent
-from spectrumlab.lts import ParseError, catalog, catalog_systems, trace_lts
+from spectrumlab.lts import (FinLTS, ParseError, catalog, catalog_systems,
+                             trace_lts)
 
 
 def test_parse_print_roundtrip():
@@ -197,6 +198,68 @@ def test_holds_dispatch_matches_isinstance_chain():
                 hml.Neg(junk), "T"):
         with pytest.raises(TypeError):
             hml.holds(G, 0, phi)
+
+
+def test_extension_matches_pointwise_holds():
+    """Bit s of extension is holds at s, on seeded systems with self-loops
+    and multi-character labels; one memo shared across a complete family
+    gives the masks that a fresh memo per formula gives."""
+    rng = random.Random(20)
+    labels = ("a", "b", "go", "g")
+    kinds = set()
+
+    def formula(d):
+        k = rng.randrange(7) if d else rng.randrange(2)
+        if k < 2:
+            phi = (hml.TOP, hml.BOT)[k]
+        elif k < 4:
+            phi = (hml.And, hml.Or)[k - 2](formula(d - 1), formula(d - 1))
+        elif k == 6:
+            phi = hml.Neg(formula(d - 1))
+        else:  # "zz" is outside every alphabet: no moves
+            phi = (hml.Diamond, hml.Box)[k - 4](
+                rng.choice(labels + ("zz",)), formula(d - 1))
+        kinds.add(type(phi))
+        return phi
+
+    families = {}  # the complete full family over each pair of labels
+    for i in range(300):
+        n = rng.randint(1, 6)
+        edges = frozenset((rng.randrange(n), rng.choice(labels),
+                           rng.randrange(n)) for _ in range(rng.randint(0, 12)))
+        if i % 3 == 0:  # a self-loop at every state
+            edges |= {(s, rng.choice(labels), s) for s in range(n)}
+        G = FinLTS(n, labels, rng.randrange(n), edges)
+        for _ in range(20):
+            phi = formula(rng.randrange(5))
+            mask = hml.extension(G, phi, {})
+            assert mask >> G.n == 0
+            for s in range(G.n):
+                assert (mask >> s & 1) == hml.holds(G, s, phi), (G, s, phi)
+        pair = tuple(sorted(rng.sample(labels, 2)))
+        if pair not in families:
+            families[pair] = hml.canonical_formulas(pair, 2, "full",
+                                                    max_conj=None)
+        shared = {}
+        for phi in families[pair]:
+            assert (hml.extension(G, phi, shared)
+                    == hml.extension(G, phi, {})), (G, phi)
+    assert kinds == {hml.Top, hml.Bot, hml.And, hml.Or, hml.Diamond,
+                     hml.Box, hml.Neg}
+    with pytest.raises(TypeError):
+        hml.extension(catalog("Q"), hml.And(hml.TOP, object()), {})
+
+
+def test_truth_set_checks_labels_in_order():
+    """truth_set rejects the first formula, in list order, that names a
+    label outside the alphabet, as satisfies on each formula would."""
+    Q = catalog("Q")
+    fams = hml.canonical_formulas(("a", "b", "c"), 2, "full", max_conj=None)
+    assert hml.truth_set(Q, 1, fams) == frozenset(
+        i for i, phi in enumerate(fams) if hml.satisfies(Q, 1, phi))
+    bad = [hml.TOP, hml.Diamond("y", hml.TOP), hml.Box("x", hml.TOP)]
+    with pytest.raises(ValueError, match=r"unknown label\(s\): y$"):
+        hml.truth_set(Q, 0, bad)
 
 
 def _labels_by_recursion(phi):

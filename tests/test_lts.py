@@ -124,6 +124,26 @@ def test_catalog():
         catalog("selfLoop", "1")
 
 
+def test_malformed_family_arguments_name_the_family():
+    cases = {
+        ("fan", "x"): "fan takes one integer k >= 0, got 'x'",
+        ("fan",): "fan takes one integer k >= 0, got no argument",
+        ("fan", "1", "2"): "fan takes one integer k >= 0, got '1', '2'",
+        ("pathDigraph", "2.5"):
+            "pathDigraph takes one integer n >= 0, got '2.5'",
+        ("traceLTS",): "traceLTS takes one word w, got no argument",
+        ("fanLTS", "a"): "fanLTS takes two words w1, w2, got 'a'",
+    }
+    for (name, *params), message in cases.items():
+        with pytest.raises(ValueError) as info:
+            catalog(name, *params)
+        assert str(info.value) == message
+    # a well-formed negative size is the family's own range error
+    with pytest.raises(ValueError, match=r"fan\(k\) needs k >= 0, not -1"):
+        catalog("fan", "-1")
+    assert catalog("fan", 2) == catalog("fan", "2")
+
+
 def test_parametric_shapes():
     assert tree_depth(path_digraph(4)) == 4
     w = trace_lts("abba")
