@@ -11,6 +11,7 @@ equivalence.
 import itertools
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import hml
 from .equivalences import bisimilar, greatest_bisimulation
@@ -267,6 +268,7 @@ def vanbenthem_suite(d):
     if d not in (0, 1, 2):
         raise ValueError("d must be 0, 1 or 2")
     pairs = _witness_pairs()
+    bisim, greatest = map(lru_cache(None), (bisimilar, greatest_bisimulation))
     rows = []
     for (name, text, invariant) in SUITE_ATOMS[d]:
         formula = parse_gformula(text)
@@ -277,15 +279,15 @@ def vanbenthem_suite(d):
                          for s in range(G.n)] for k, G in systems}
             ok = all(value[m][s] == value[n][t]
                      for (m, M), (n, N) in itertools.combinations(systems, 2)
-                     for (s, t) in greatest_bisimulation(M, N))
+                     for (s, t) in greatest(M, N))
             rows.append({"atom": name, "invariant": True, "ok": ok,
                          "witness": None})
         else:
             wname = ATOM_WITNESS[(d, name)]
             (M, sM, N, sN, rel) = pairs[wname]
             rel_idx = frozenset((M.state(a), N.state(b)) for (a, b) in rel)
-            is_bisim = (bisimilar(M, N) is not None
-                        and rel_idx <= greatest_bisimulation(M, N)
+            is_bisim = (bisim(M, N) is not None
+                        and rel_idx <= greatest(M, N)
                         and (M.state(sM), N.state(sN)) in rel_idx)
             vm = eval_formula(M, formula, {"x": M.state(sM)})
             vn = eval_formula(N, formula, {"x": N.state(sN)})

@@ -38,12 +38,11 @@ def enumerate_models(theory):
     if len(free) > MAX_FREE_ATOMS:
         raise BudgetExceeded("model enumeration", len(free), "free atoms",
                              MAX_FREE_ATOMS)
-    models = []
-    for mask in range(1 << len(free)):
-        val = frozenset(at for i, at in enumerate(free) if mask >> i & 1)
-        if all(any(at in val for at in clause)
-               for clause in theory.totality_clauses):
-            models.append(val)
+    clauses = [sum({1 << free.index(at) for at in clause if at in free})
+               for clause in theory.totality_clauses]  # forced atoms: no bit
+    models = [frozenset(at for i, at in enumerate(free) if mask >> i & 1)
+              for mask in range(1 << len(free))
+              if all(mask & c for c in clauses)]
     return sorted(models, key=lambda m: (len(m), sorted(m)))
 
 

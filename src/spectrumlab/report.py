@@ -69,6 +69,30 @@ SUBTRACTION_TABLE = (
 )
 
 
+def adjunctions(L):
+    """Heyting and co-Heyting adjunctions on element numbers, over all z at
+    once: {z : z & a <= b} is down[a -> b] and {z : b <= a | z} is
+    up[b \\ a], each set a union of the groups {z : z op a = w}.  The first
+    set depends on b only through b & a, the second through b | a."""
+    n, up, down = range(len(L.elements)), L.up, L.down
+    hey = cohey = True
+    for a in n:
+        meets, joins = {}, {}
+        for z in n:
+            for groups, w in ((meets, L.meet_table[z][a]),
+                              (joins, L.join_table[z][a])):
+                groups[w] = groups.get(w, 0) | 1 << z
+        low = {c: sum(m for w, m in meets.items() if down[c] >> w & 1)
+               for c in meets}
+        high = {d: sum(m for w, m in joins.items() if up[d] >> w & 1)
+                for d in joins}
+        hey = hey and all(down[L.heyting_n(a, b)] == low[L.meet_table[b][a]]
+                          for b in n)
+        cohey = cohey and all(
+            up[L.coheyting_n(b, a)] == high[L.join_table[b][a]] for b in n)
+    return hey, cohey
+
+
 def criterion_3():
     L, _, _ = sp.spectrum_lattice()
     NV = sp.NAMED_VECTORS
@@ -98,14 +122,7 @@ def criterion_3():
                    for (x, y, _) in SUBTRACTION_TABLE)
     rows.append(_row("naive subtraction kills the depth slot on the table "
                      "pairs", naive_ok))
-    # on element numbers: up[i] >> j & 1 is i <= j
-    n, up = range(len(L.elements)), L.up
-    himp = [[L.heyting_n(a, b) for b in n] for a in n]
-    csub = [[L.coheyting_n(x, y) for y in n] for x in n]
-    hey = all(up[L.meet_table[z][a]] >> b & 1 == up[z] >> himp[a][b] & 1
-              for z in n for a in n for b in n)
-    cohey = all(up[csub[x][y]] >> z & 1 == up[x] >> L.join_table[y][z] & 1
-                for x in n for y in n for z in n)
+    hey, cohey = adjunctions(L)
     rows.append(_row("Heyting adjunction on all triples", hey))
     rows.append(_row("co-Heyting adjunction on all triples", cohey))
     return ("Bi-Heyting structure", rows)

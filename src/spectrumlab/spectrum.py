@@ -2,7 +2,7 @@
 
 Vectors live in (N u {inf})^6; the infinite component is float('inf'), which
 absorbs max exactly.  The spectrum lattice numbers its elements, keeps
-checked int meet/join tables and up-set bitmasks, and answers Heyting and
+checked int meet/join tables and up-/down-set bitmasks, and answers Heyting and
 co-Heyting operations, negations, irreducibles and the Boolean core on the
 numbers.  Lattices of sets (downsets of a finite poset) compute meet, join
 and order on demand and are numbered only when a method reads the tables."""
@@ -55,9 +55,10 @@ def format_vector(v):
 class FiniteDistributiveLattice:
     """Explicit finite lattice over hashable elements, immutable after
     construction.  Element i of ``elements`` has number i (``index``); the
-    meet and join tables hold numbers, and bit j of ``up[i]`` is set when i
-    is below j.  The ``_n`` methods take and return numbers.  Distributivity
-    is a checkable property, not an assumed one."""
+    meet and join tables hold numbers; bit j of ``up[i]`` is set when i is
+    below j, and bit j of ``down[i]`` when j is below i.  The ``_n`` methods
+    take and return numbers.  Distributivity is a checkable property, not
+    an assumed one."""
 
     def __init__(self, elements, meet, join):
         self.elements = sorted(set(elements), key=repr)
@@ -75,6 +76,8 @@ class FiniteDistributiveLattice:
             raise ValueError("element set not closed under meet/join")
         self.up = [sum(1 << j for j in n if row[j] == i)
                    for i, row in enumerate(self.meet_table)]
+        self.down = [sum(1 << j for j in n if row[j] == j)
+                     for row in self.meet_table]
         self._bot = reduce(lambda i, j: self.meet_table[i][j], n)
         self._top = reduce(lambda i, j: self.join_table[i][j], n)
 
@@ -119,9 +122,18 @@ class FiniteDistributiveLattice:
         return reduce(lambda h, z: self.join_table[h][z], numbers, self._bot)
 
     def heyting_n(self, a, b):
-        """Largest z with z & a <= b (join of all candidates)."""
-        return self._join_n(z for z, mz in enumerate(self.meet_table)
-                            if self.up[mz[a]] >> b & 1)
+        """Largest z with z & a <= b: the element whose down-set is the union
+        of the groups {z : z & a = w} over w <= b, else that union's join."""
+        if not hasattr(self, "_groups"):  # _groups[a][w]: z with z & a = w
+            self._groups = [{} for _ in self.meet_table]
+            for z, row in enumerate(self.meet_table):
+                for col, w in zip(self._groups, row):
+                    col[w] = col.get(w, 0) | 1 << z
+            self._principal = {d: i for i, d in enumerate(self.down)}
+        below_b = self.down[b]
+        cand = sum(m for w, m in self._groups[a].items() if below_b >> w & 1)
+        return self._principal[cand] if cand in self._principal else \
+            self._join_n(z for z in range(len(self.up)) if cand >> z & 1)
 
     def coheyting_n(self, x, y):
         """Birkhoff subtraction: join of irreducibles under x but not y."""
@@ -164,8 +176,8 @@ class SetLattice(FiniteDistributiveLattice):
     leq = staticmethod(operator.le)
 
     def __getattr__(self, name):
-        if name not in ("index", "meet_table", "join_table", "up", "_bot",
-                        "_top"):
+        if name not in ("index", "meet_table", "join_table", "up", "down",
+                        "_bot", "_top"):
             raise AttributeError(name)
         bit = {p: 1 << k for k, p in enumerate(self.top)}  # sets as masks
         self._number([sum(bit[p] for p in x) for x in self.elements],

@@ -447,6 +447,19 @@ def test_mask_deciders_match_the_pair_set_oracles():
     assert all(v == {True, False} for v in verdicts.values()), verdicts
 
 
+def test_ready_simulation_matches_oracle_on_independent_small_pairs():
+    # independent systems, unlike copies and mutants, often have a state
+    # whose enabled set no state of the other side has
+    verdicts = set()
+    rng = random.Random(23)
+    for _ in range(300):
+        M, N = (_random_lts(rng, rng.randint(1, 4), "ab") for _ in "MN")
+        got = eq.ready_sim_equivalent(M, N)
+        assert got == _ready_sim_equivalent(M, N), (M, N)
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def test_bounded_simulation_matches_memoised_recursion():
     verdicts = set()
     for M, N in _random_pairs(14, 200, 6):

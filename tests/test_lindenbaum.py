@@ -257,3 +257,38 @@ def test_kernel_dichotomy():
     G = FinLTS(2, ("a",), 0, frozenset({(1, "a", 1)}))
     with pytest.raises(ValueError):
         lb.kernel_dichotomy_check(G)
+
+
+def _models_by_valuation_sets(theory):
+    """enumerate_models as it was before it tested clauses as masks: each
+    valuation built as a frozenset, clauses tested by membership."""
+    free = theory.atoms
+    models = []
+    for mask in range(1 << len(free)):
+        val = frozenset(at for i, at in enumerate(free) if mask >> i & 1)
+        if all(any(at in val for at in clause)
+               for clause in theory.totality_clauses):
+            models.append(val)
+    return sorted(models, key=lambda m: (len(m), sorted(m)))
+
+
+def test_clause_masks_match_valuation_sets():
+    rng = random.Random(62)
+    dense = [FinLTS(5, ("a", "b"), 0, frozenset(
+        (rng.randrange(5), rng.choice("ab"), rng.randrange(5))
+        for _ in range(rng.randint(5, 10)))) for _ in range(30)]
+    counts = set()
+    for G in [G for _, G in sorted(catalog_systems().items())] + list(
+            _random_systems(62, 150)) + dense:
+        theory = lb.labeled_theory(G)
+        models = lb.enumerate_models(theory)
+        assert models == _models_by_valuation_sets(theory), G
+        counts.add(len(models))
+    assert {1, 3, 7, 9, 21} <= counts and max(counts) > 100
+    # a clause naming a forced atom is satisfied only by its free atoms
+    p, q, r = ("a", 0, 1), ("b", 0, 0), ("a", 1, 0)
+    for clauses, count in ((((p, r),), 2), (((r,), (p, q)), 0)):
+        theory = lb.PropTheory((p, q), (r,), clauses)
+        assert lb.enumerate_models(theory) == \
+            _models_by_valuation_sets(theory)
+        assert len(lb.enumerate_models(theory)) == count

@@ -437,3 +437,73 @@ def test_spectrum_lattice_is_built_once_and_set_lattices_stay_unnumbered():
     report.criterion_9()
     report.criterion_13()
     assert "meet_table" not in vars(lb.lindenbaum(catalog("U")).lattice)
+
+
+# The per-element forms heyting_n and criterion 3 were computed with before
+# they worked on masks: the oracles for the candidate mask and the per-pair
+# adjunction check.
+
+
+def _heyting_by_join(L, a, b):
+    """Join of every z with z & a <= b, one element at a time."""
+    return L._join_n(z for z, mz in enumerate(L.meet_table)
+                     if L.up[mz[a]] >> b & 1)
+
+
+def _adjunctions_by_triples(L):
+    n, up = range(len(L.elements)), L.up
+    himp = [[L.heyting_n(a, b) for b in n] for a in n]
+    csub = [[L.coheyting_n(x, y) for y in n] for x in n]
+    hey = all(up[L.meet_table[z][a]] >> b & 1 == up[z] >> himp[a][b] & 1
+              for z in n for a in n for b in n)
+    cohey = all(up[csub[x][y]] >> z & 1 == up[x] >> L.join_table[y][z] & 1
+                for x in n for y in n for z in n)
+    return hey, cohey
+
+
+def _random_poset_lattices(seed, count):
+    """Down-set lattices of seeded random posets on at most five points:
+    i <= j when a chain of sampled edges i < ... < j joins them."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k, p = rng.randint(0, 5), rng.random()
+        below = {(i, i) for i in range(k)}
+        for j in range(k):
+            for i in range(j):
+                if rng.random() < p:
+                    below |= {(h, j) for (h, g) in below if g == i}
+        yield sp.downset_lattice(range(k), lambda x, y: (x, y) in below)
+
+
+def _non_distributive():
+    return [sp.FiniteDistributiveLattice(elems, meet, join)
+            for elems, (meet, join) in _pentagon_and_diamond()]
+
+
+def test_heyting_candidate_mask_matches_join_of_candidates():
+    sizes, fallbacks = set(), []
+    for L in [L30()[0]] + list(_random_poset_lattices(17, 200)):
+        n = range(len(L.elements))
+        assert [[L.heyting_n(a, b) for b in n] for a in n] == \
+            [[_heyting_by_join(L, a, b) for b in n] for a in n]
+        sizes.add(len(L.elements))
+    for L in _non_distributive():
+        joins = []
+        join_n = L._join_n
+        L._join_n = lambda zs: joins.append(1) or join_n(zs)
+        n = range(len(L.elements))
+        got = [[L.heyting_n(a, b) for b in n] for a in n]
+        del L._join_n
+        assert got == [[_heyting_by_join(L, a, b) for b in n] for a in n]
+        fallbacks.append(len(joins))
+    assert {1, 2, 30, 32} <= sizes and len(sizes) > 10
+    assert all(fallbacks), fallbacks
+
+
+def test_adjunction_masks_match_the_triple_scan():
+    L = L30()[0]
+    assert report.adjunctions(L) == _adjunctions_by_triples(L) == (True, True)
+    n5, m3 = _non_distributive()
+    assert report.adjunctions(n5) == _adjunctions_by_triples(n5)
+    assert report.adjunctions(n5)[0] is False
+    assert report.adjunctions(m3) == _adjunctions_by_triples(m3)
