@@ -15,6 +15,7 @@ from .lts import (BudgetExceeded, FinLTS, Homomorphism, catalog_systems,
                   enumerate_homs)
 
 MAX_BRUTE_STATES = 8
+MAX_REALIZATIONS = 500_000  # per oracle call, summed over its diamonds
 
 FRAGMENT = "positiveExistential"
 
@@ -118,25 +119,30 @@ def _partitions(items):
         yield [[head]] + part
 
 
-def _realize(reals, s, phi, offsets, max_states):
+def _realize(reals, s, phi, offsets, max_states, spent):
     """The distinct pairs made from each (n, edges) in reals by adding edges,
-    and fresh states up to max_states, so that phi holds at s."""
+    and fresh states up to max_states, so that phi holds at s.  spent[0]
+    adds up the pairs each diamond returns, against MAX_REALIZATIONS."""
     if isinstance(phi, Top):
         return reals
     if isinstance(phi, And):
-        left = _realize(reals, s, phi.left, offsets, max_states)
-        return _realize(left, s, phi.right, offsets, max_states)
+        left = _realize(reals, s, phi.left, offsets, max_states, spent)
+        return _realize(left, s, phi.right, offsets, max_states, spent)
     row = offsets[s, phi.label]
     groups = [set() for _ in range(max_states)]
     for n, edges in reals:
         for t in range(n):
             groups[t].add((n, edges | 1 << row + t))
-        if n < max_states:  # a fresh state n
-            groups[n].add((n + 1, edges | 1 << row + n))
+        # a fresh state n: each diamond adds at most one, so n < max_states
+        groups[n].add((n + 1, edges | 1 << row + n))
     out = set()
     for t, group in enumerate(groups):
         if group:
-            out |= _realize(group, t, phi.body, offsets, max_states)
+            out |= _realize(group, t, phi.body, offsets, max_states, spent)
+    spent[0] += len(out)
+    if spent[0] > MAX_REALIZATIONS:
+        raise BudgetExceeded("exhaustive oracle", spent[0], "realizations",
+                             MAX_REALIZATIONS)
     return out
 
 
@@ -170,6 +176,7 @@ def brute_force_implication(G, v, phi, psi, size_bound):
     # every realization shares G's alphabet, which psi was checked against
     pairs = itertools.product(range(max_states), G.alphabet)
     offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
+    spent = [0]
     for blocks in _partitions(list(range(G.n))):
         if len(blocks) > size_bound:
             continue
@@ -180,7 +187,7 @@ def brute_force_implication(G, v, phi, psi, size_bound):
         for conjunct in _conjuncts(phi):
             reals = _realize({(n, edges) for n, edges in reals
                               if not _holds_in(n, edges, cls[v], psi, offsets)},
-                             cls[v], conjunct, offsets, max_states)
+                             cls[v], conjunct, offsets, max_states, spent)
         for n, edges in reals:
             if not _holds_in(n, edges, cls[v], psi, offsets):
                 return False

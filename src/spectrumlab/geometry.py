@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import hml
+from .hml import (BOT, TOP, And, Bot, Top, _Language, _lex, _parse,
+                  _parse_group, _peek, _take)
 from .equivalences import bisimilar, greatest_bisimulation
 from .lts import (BudgetExceeded, ParseError, catalog, enumeration_budget,
                   path_equivalent, reachable_from, unlabeled_catalog_systems)
@@ -41,24 +43,11 @@ class Const:
         return "c_%s" % self.state
 
 
-class GFormula:
-    pass
+# T, F and & are hml's nodes: the two logics share that connective layer.
 
 
 @dataclass(frozen=True)
-class Top(GFormula):
-    def __str__(self):
-        return "T"
-
-
-@dataclass(frozen=True)
-class Bot(GFormula):
-    def __str__(self):
-        return "F"
-
-
-@dataclass(frozen=True)
-class Atom(GFormula):
+class Atom:
     pred: str
     left: object
     right: object
@@ -68,7 +57,7 @@ class Atom(GFormula):
 
 
 @dataclass(frozen=True)
-class Eq(GFormula):
+class Eq:
     left: object
     right: object
 
@@ -77,16 +66,7 @@ class Eq(GFormula):
 
 
 @dataclass(frozen=True)
-class And(GFormula):
-    left: GFormula
-    right: GFormula
-
-    def __str__(self):
-        return "(%s & %s)" % (self.left, self.right)
-
-
-@dataclass(frozen=True)
-class Or(GFormula):
+class Or:
     parts: tuple
 
     def __str__(self):
@@ -96,16 +76,12 @@ class Or(GFormula):
 
 
 @dataclass(frozen=True)
-class Exists(GFormula):
+class Exists:
     var: str
-    body: GFormula
+    body: object
 
     def __str__(self):
         return "E %s. %s" % (self.var, self.body)
-
-
-TOP = Top()
-BOT = Bot()
 
 
 def free_vars(phi):
@@ -128,8 +104,8 @@ def free_vars(phi):
 @dataclass(frozen=True)
 class Sequent:
     context: tuple  # variable names
-    antecedent: GFormula
-    consequent: GFormula
+    antecedent: object
+    consequent: object
 
     def __post_init__(self):
         fv = free_vars(self.antecedent) | free_vars(self.consequent)
@@ -442,11 +418,9 @@ def standard_translation(phi):
 
 def _translate(phi, v, counter):
     """ST_v(phi); counter numbers the fresh variables v0, v1, ..."""
-    if isinstance(phi, hml.Top):
-        return TOP
-    if isinstance(phi, hml.Bot):
-        return BOT
-    if isinstance(phi, hml.And):
+    if isinstance(phi, (Top, Bot)):
+        return phi
+    if isinstance(phi, And):
         return And(_translate(phi.left, v, counter),
                    _translate(phi.right, v, counter))
     if isinstance(phi, hml.Or):
@@ -477,7 +451,7 @@ def is_equality_free(phi):
 
 # ---------------------------------------------------------------------------
 # sequent text syntax:  D(x,y) & D(x,z) |- y = z     (E w. ... for exists;
-# identifiers starting with c_ are state constants)
+# identifiers starting with c_ are state constants), read by hml's parser core
 
 
 _TOKEN = re.compile(r"\s*(\|-|\||&|\(|\)|=|\.|,|[A-Za-z_][A-Za-z_0-9]*)")
@@ -494,38 +468,10 @@ def parse_sequent(text):
 
 
 def parse_gformula(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        m = _TOKEN.match(text, i)
-        if not m:
-            if text[i:].strip():
-                raise ParseError("bad input at %r" % text[i:])
-            break
-        tokens.append(m.group(1))
-        i = m.end()
-    result, pos = _parse_or(tokens, 0)
-    if pos != len(tokens):
-        raise ParseError("trailing input in sequent")
-    return result
-
-
-# Recursive descent: each level takes the tokens and a position and returns
-# (formula, position after it).
-
-
-def _peek(tokens, pos):
-    return tokens[pos] if pos < len(tokens) else None
-
-
-def _take(tokens, pos, expected=None):
-    """The token at pos, which must exist and, if given, be expected."""
-    tok = _peek(tokens, pos)
-    if tok is None:
-        raise ParseError("unexpected end of sequent")
-    if expected is not None and tok != expected:
-        raise ParseError("expected %r, got %r" % (expected, tok))
-    return tok
+    tokens, end = _lex(_TOKEN, text)
+    if text[end:].strip():
+        raise ParseError("bad input at %r" % text[end:])
+    return _parse(tokens, _SEQUENT, "trailing input in sequent")
 
 
 def _term(tok):
@@ -534,44 +480,28 @@ def _term(tok):
     return Var(tok)
 
 
-def _parse_or(tokens, pos):
-    part, pos = _parse_and(tokens, pos)
-    parts = [part]
-    while _peek(tokens, pos) == "|":
-        part, pos = _parse_and(tokens, pos + 1)
-        parts.append(part)
-    return (parts[0] if len(parts) == 1 else Or(tuple(parts))), pos
-
-
-def _parse_and(tokens, pos):
-    left, pos = _parse_atomic(tokens, pos)
-    while _peek(tokens, pos) == "&":
-        right, pos = _parse_atomic(tokens, pos + 1)
-        left = And(left, right)
-    return left, pos
-
-
-def _parse_atomic(tokens, pos):
+def _sequent_prefix(tokens, pos, lang):
     tok = _peek(tokens, pos)
     if tok == "(":
-        inner, pos = _parse_or(tokens, pos + 1)
-        _take(tokens, pos, ")")
-        return inner, pos + 1
+        return _parse_group(tokens, pos, lang)
     if tok == "E":
-        v = _take(tokens, pos + 1)
-        _take(tokens, pos + 2, ".")
-        body, pos = _parse_atomic(tokens, pos + 3)
+        v = _take(tokens, pos + 1, lang)
+        _take(tokens, pos + 2, lang, ".")
+        body, pos = _sequent_prefix(tokens, pos + 3, lang)
         return Exists(v, body), pos
     if tok in PREDICATES and pos + 1 < len(tokens) \
             and tokens[pos + 1] == "(":
-        t1 = _term(_take(tokens, pos + 2))
-        _take(tokens, pos + 3, ",")
-        t2 = _term(_take(tokens, pos + 4))
-        _take(tokens, pos + 5, ")")
+        t1 = _term(_take(tokens, pos + 2, lang))
+        _take(tokens, pos + 3, lang, ",")
+        t2 = _term(_take(tokens, pos + 4, lang))
+        _take(tokens, pos + 5, lang, ")")
         return Atom(tok, t1, t2), pos + 6
     if tok in ("T", "F"):
         return (TOP if tok == "T" else BOT), pos + 1
     # bare term: must be an equality
-    _take(tokens, pos)
-    _take(tokens, pos + 1, "=")
-    return Eq(_term(tok), _term(_take(tokens, pos + 2))), pos + 3
+    _take(tokens, pos, lang)
+    _take(tokens, pos + 1, lang, "=")
+    return Eq(_term(tok), _term(_take(tokens, pos + 2, lang))), pos + 3
+
+
+_SEQUENT = _Language(_sequent_prefix, lambda parts: Or(tuple(parts)), "sequent")

@@ -4,8 +4,10 @@ bounded invariance suites, which evaluate geometric atoms, are in
 geometry."""
 
 import itertools
+import re
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 from .lts import FinLTS, Homomorphism, ParseError, is_rooted_tree
 
@@ -234,83 +236,103 @@ def extension(G, phi, memo):
 
 # ---------------------------------------------------------------------------
 # parser / printer  (syntax: T, F, &, |, !, <a>, [a], parentheses)
+#
+# One recursive-descent core reads this syntax and geometry's sequents: `|`
+# over `&` over the language's prefix forms, a parenthesised formula among
+# them.  A language gives its prefix reader, its Or builder (for two or more
+# disjuncts) and the noun its errors name.  Each level takes the tokens, a
+# position and the language, and returns (formula, position after it).
+
+_Language = namedtuple("_Language", "prefix disj noun")
+
+_FORMULA_TOKEN = re.compile(
+    r"\s*(?:([&|!()TF])|<(?P<dia>[^>]*)>|\[(?P<box>[^\]]*)\])")
 
 
 def parse_formula(text):
-    tokens = _tokenize(text)
-    result, pos = _parse_or(tokens, 0)
+    tokens, end = _lex(_FORMULA_TOKEN, text)
+    rest = text[end:].lstrip()
+    if rest:
+        raise ParseError(("unclosed %r" if rest[0] in "<[" else
+                          "bad character %r") % rest[0])
+    return _parse(tokens, _FORMULA, "trailing input")
+
+
+def _lex(pattern, text):
+    """The tokens pattern reads from the start of text, and where they end:
+    group 1's match, or (name, match) for a named group."""
+    tokens, end = [], 0
+    for m in pattern.finditer(text):
+        if m.start() != end:
+            break
+        end = m.end()
+        tokens.append(m[1] or (m.lastgroup, m[m.lastindex]))
+    return tokens, end
+
+
+def _parse(tokens, lang, trailing):
+    result, pos = _parse_or(tokens, 0, lang)
     if pos != len(tokens):
-        raise ParseError("trailing input")
+        raise ParseError(trailing)
     return result
-
-
-# Recursive descent: each level takes the tokens and a position and returns
-# (formula, position after it).
 
 
 def _peek(tokens, pos):
     return tokens[pos] if pos < len(tokens) else None
 
 
-def _parse_or(tokens, pos):
-    left, pos = _parse_and(tokens, pos)
+def _take(tokens, pos, lang, expected=None):
+    """The token at pos, which must exist and, if given, be expected."""
+    tok = _peek(tokens, pos)
+    if tok is None:
+        raise ParseError("unexpected end of %s" % lang.noun)
+    if expected is not None and tok != expected:
+        raise ParseError("expected %r, got %r" % (expected, tok))
+    return tok
+
+
+def _parse_or(tokens, pos, lang):
+    part, pos = _parse_and(tokens, pos, lang)
+    if _peek(tokens, pos) != "|":
+        return part, pos
+    parts = [part]
     while _peek(tokens, pos) == "|":
-        right, pos = _parse_and(tokens, pos + 1)
-        left = Or(left, right)
-    return left, pos
+        part, pos = _parse_and(tokens, pos + 1, lang)
+        parts.append(part)
+    return lang.disj(parts), pos
 
 
-def _parse_and(tokens, pos):
-    left, pos = _parse_unary(tokens, pos)
+def _parse_and(tokens, pos, lang):
+    left, pos = lang.prefix(tokens, pos, lang)
     while _peek(tokens, pos) == "&":
-        right, pos = _parse_unary(tokens, pos + 1)
+        right, pos = lang.prefix(tokens, pos + 1, lang)
         left = And(left, right)
     return left, pos
 
 
-def _parse_unary(tokens, pos):
+def _parse_group(tokens, pos, lang):
+    """The parenthesised formula whose "(" is at pos."""
+    inner, pos = _parse_or(tokens, pos + 1, lang)
+    _take(tokens, pos, lang, ")")
+    return inner, pos + 1
+
+
+def _formula_prefix(tokens, pos, lang):
     tok = _peek(tokens, pos)
-    if tok == "!":
-        inner, pos = _parse_unary(tokens, pos + 1)
-        return Neg(inner), pos
     if tok == "(":
-        inner, pos = _parse_or(tokens, pos + 1)
-        if pos == len(tokens):
-            raise ParseError("unexpected end of formula")
-        if tokens[pos] != ")":
-            raise ParseError("expected %r, got %r" % (")", tokens[pos]))
-        return inner, pos + 1
+        return _parse_group(tokens, pos, lang)
+    if tok == "!":
+        inner, pos = _formula_prefix(tokens, pos + 1, lang)
+        return Neg(inner), pos
     if tok in ("T", "F"):
         return (TOP if tok == "T" else BOT), pos + 1
-    if isinstance(tok, tuple) and tok[0] in ("dia", "box"):
-        body, pos = _parse_unary(tokens, pos + 1)
+    if isinstance(tok, tuple):  # ("dia", label) or ("box", label)
+        body, pos = _formula_prefix(tokens, pos + 1, lang)
         return (Diamond if tok[0] == "dia" else Box)(tok[1], body), pos
     raise ParseError("unexpected token %r" % (tok,))
 
 
-def _tokenize(text):
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "&|!()":
-            tokens.append(c)
-            i += 1
-        elif c in "<[":
-            close, kind = (">", "dia") if c == "<" else ("]", "box")
-            j = text.find(close, i)
-            if j < 0:
-                raise ParseError("unclosed %r" % c)
-            tokens.append((kind, text[i + 1:j]))
-            i = j + 1
-        elif c in ("T", "F"):
-            tokens.append(c)
-            i += 1
-        else:
-            raise ParseError("bad character %r" % c)
-    return tokens
+_FORMULA = _Language(_formula_prefix, partial(reduce, Or), "formula")
 
 
 # ---------------------------------------------------------------------------

@@ -204,16 +204,16 @@ def is_group_hom(G):
 
 def kernel_dichotomy_check(G):
     """Kernel of the symmetry homomorphism is trivial or everything, matching
-    the structural nondeterminism predicate; also the group's order and the
-    image's size, so that a caller needs no second search."""
+    the structural free-choice predicate (a state with two out-edges); also
+    the group's order and the image's size, so no caller searches twice."""
     if reachable_states(G) != set(range(G.n)):
         raise ValueError("precondition: all states must be reachable from the root")
     hom = symmetry_hom(G)
     group_size = len(hom["automorphisms"])
     kernel_size = hom["kernel_size"]
     dichotomy = kernel_size in (1, group_size)
-    nondet = bool(G.nondeterministic_states())
-    structural = "trivial" if nondet else "maximal"
+    free_choice = len({s for (s, _, _) in G.transitions}) < len(G.transitions)
+    structural = "trivial" if free_choice else "maximal"
     verdict = "trivial" if kernel_size == 1 else \
               ("maximal" if kernel_size == group_size else "intermediate")
     # a trivial group makes both readings true at once

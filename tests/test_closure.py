@@ -1,8 +1,10 @@
 import gc
 import itertools
 import random
+import re
 
 import pytest
+from conftest import run_cli
 
 from spectrumlab import closure as cl
 from spectrumlab import report
@@ -158,6 +160,7 @@ def _brute_force_unpruned(G, v, phi, psi, size_bound):
     max_states = size_bound + diamond_count(phi)
     pairs = itertools.product(range(max_states), G.alphabet)
     offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
+    spent = [0]
     for blocks in _partitions(list(range(G.n))):
         if len(blocks) > size_bound:
             continue
@@ -165,7 +168,7 @@ def _brute_force_unpruned(G, v, phi, psi, size_bound):
         base = sum({1 << offsets[cls[s], a] + cls[t]
                     for (s, a, t) in G.transitions})
         for n, edges in cl._realize({(len(blocks), base)}, cls[v], phi,
-                                    offsets, max_states):
+                                    offsets, max_states, spent):
             if not cl._holds_in(n, edges, cls[v], psi, offsets):
                 return False
     return True
@@ -305,7 +308,8 @@ def test_oracle_matches_system_oracle():
                            for (s, a, t) in H0.transitions)
                 got = {(n, _decode(edges, offsets, max_states)): edges
                        for n, edges in cl._realize({(H0.n, base)}, cls[v],
-                                                   phi, offsets, max_states)}
+                                                   phi, offsets, max_states,
+                                                   [0])}
                 systems = list(_realizations(H0, cls[v], phi, max_states))
                 assert set(got) == {(H.n, H.transitions) for H in systems}
                 repeats += len(systems) - len(got)
@@ -315,6 +319,62 @@ def test_oracle_matches_system_oracle():
                         == holds(H, cls[v], psi)
     assert verdicts == {True, False}
     assert repeats > 0
+
+
+def test_free_extension_names_fresh_states_w1_on():
+    G = catalog("Q")
+    fe = cl.free_extension(G, 0, P("<a>(<b>T & <c>T) & <a>T"))
+    assert fe.extended.names == G.names + ("w1", "w2", "w3", "w4")
+
+
+def test_default_sample_keeps_the_systems_naming_every_label():
+    starred = cl.default_sample(P("<*>T"), TOP)  # the alphabet is {*}
+    assert len(starred) == 29 and {G.alphabet for G, _ in starred} == {("*",)}
+    sample = cl.default_sample(P("<a>T"), P("<a>T"))  # {a} inside {a, b, c}
+    assert [G.n for G, v in sample if v == 0] == [5, 4, 6, 8]
+    assert cl.default_sample(P("<a>T"), P("<*>T")) == []
+
+
+def test_monotonicity_check_pairs_same_alphabet_systems_naming_the_labels(
+        monkeypatch):
+    pairs = []
+
+    def record(S, h):
+        pairs.append((h.source.alphabet, h.target.alphabet))
+        return True
+
+    monkeypatch.setattr(cl, "monotone_along", record)
+    for text, alphabet in (("<*>T", ("*",)), ("<a>T", ("a", "b", "c"))):
+        pairs.clear()
+        assert cl.monotonicity_check(P(text))
+        assert pairs and set(pairs) == {(alphabet, alphabet)}
+    pairs.clear()
+    assert cl.monotonicity_check(TOP)
+    assert set(pairs) == {(("*",), ("*",)), (("a", "b", "c"),) * 2}
+
+
+def test_oracle_realization_budget_stops_deep_antecedents():
+    for k in (8, 10):
+        phi = "<a>" * k + "T"
+        code, _, err = run_cli("himp", "Q", "q0", phi, phi)
+        m = re.fullmatch(r"error: budget exceeded: exhaustive oracle: (\d+) "
+                         r"realizations, limit (\d+)\n", err)
+        assert code == 3 and m, err
+        assert int(m[1]) > int(m[2]) == cl.MAX_REALIZATIONS
+
+
+def test_criterion_11_stays_far_below_the_realization_budget(monkeypatch):
+    spent_max = [0]
+    realize = cl._realize
+
+    def recording(reals, s, phi, offsets, max_states, spent):
+        out = realize(reals, s, phi, offsets, max_states, spent)
+        spent_max[0] = max(spent_max[0], spent[0])
+        return out
+
+    monkeypatch.setattr(cl, "_realize", recording)
+    report.criterion_11()
+    assert 0 < spent_max[0] * 5 <= cl.MAX_REALIZATIONS
 
 
 def test_oracle_budget():

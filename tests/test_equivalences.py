@@ -5,7 +5,8 @@ import pytest
 
 from spectrumlab import equivalences as eq
 from spectrumlab.hml import d_equivalence_oracle
-from spectrumlab.lts import FinLTS, catalog, fan_lts, trace_lts
+from spectrumlab.lts import (BudgetExceeded, FinLTS, catalog, enumerate_homs,
+                             fan_lts, trace_lts)
 
 
 def test_level_order_on_classic_pair():
@@ -105,6 +106,29 @@ def test_bi_interpretation_search():
         assert eq.functional_bisim_search(M, N) is not None
         assert eq.bi_interpretation_search(M, N) is not None
     assert eq.bi_interpretation_search(catalog("P_abc"), catalog("Q")) is None
+
+
+def test_pair_search_needs_both_round_trips():
+    # fork and path have hom pairs with one round trip the identity up to
+    # path equivalence (and mutual reachability), but none with both
+    for a, b in (("fork", "path"), ("path", "fork")):
+        M, N = catalog(a), catalog(b)
+        assert eq.functional_bisim_search(M, N) is None
+        assert eq.bi_interpretation_search(M, N) is None
+
+
+def test_pair_search_hom_pair_budget_admits_its_limit(monkeypatch):
+    # three homs each way are nine hom pairs: within a budget of nine, over
+    # a budget of eight
+    L = catalog("selfLoop")
+    (h,) = enumerate_homs(L, L)
+    monkeypatch.setattr(eq, "enumerate_homs", lambda M, N: [h] * 3)
+    monkeypatch.setenv("SPECTRUM_BUDGET", "9")
+    assert eq.functional_bisim_search(L, L) is not None
+    monkeypatch.setenv("SPECTRUM_BUDGET", "8")
+    with pytest.raises(BudgetExceeded, match=r"^function-pair search: 9 hom "
+                                             r"pairs, limit 8$"):
+        eq.functional_bisim_search(L, L)
 
 
 def test_quotient_bridge():

@@ -10,7 +10,8 @@ from conftest import _cyclic_garbage_after
 from networkx.algorithms import isomorphism
 
 from spectrumlab import lindenbaum as lb
-from spectrumlab.lts import BudgetExceeded, FinLTS, catalog, catalog_systems
+from spectrumlab.lts import (BudgetExceeded, FinLTS, catalog, catalog_systems,
+                             reachable_states)
 
 
 def model_count_oracle(G):
@@ -257,6 +258,45 @@ def test_kernel_dichotomy():
     G = FinLTS(2, ("a",), 0, frozenset({(1, "a", 1)}))
     with pytest.raises(ValueError):
         lb.kernel_dichotomy_check(G)
+
+
+def test_kernel_dichotomy_reads_free_choice_of_any_labels():
+    # deterministic systems (input set 254 of lattices seed 1, input set 2
+    # of seed 910) whose two-label branching lets the automorphism that
+    # swaps two states move models: the kernel is trivial in a group of 2
+    systems = [
+        [(0, "a", 1), (0, "b", 6), (1, "a", 0), (1, "b", 3), (2, "b", 4),
+         (3, "a", 5), (4, "b", 2), (5, "b", 2), (6, "a", 5)],
+        [(0, "b", 1), (0, "c", 4), (1, "b", 0), (1, "c", 4), (2, "a", 3),
+         (3, "b", 2), (4, "c", 6), (5, "a", 2), (6, "b", 5)]]
+    for edges in systems:
+        G = FinLTS(7, ("a", "b", "c"), 0, frozenset(edges))
+        assert not G.nondeterministic_states()
+        out = lb.kernel_dichotomy_check(G)
+        assert (out["kernel_size"], out["group_size"]) == (1, 2)
+        assert out["structural"] == out["verdict"] == "trivial"
+        assert out["agree"]
+
+
+def _branching_systems(rng, count):
+    """Systems of 2 to 5 states over {a, b, c}, every state reachable: two
+    states have two out-edges each (labels and targets random), the others
+    zero or one."""
+    systems = []
+    while len(systems) < count:
+        n = rng.randint(2, 5)
+        branching = rng.sample(range(n), 2)
+        edges = {(s, rng.choice("abc"), rng.randrange(n)) for s in range(n)
+                 for _ in range(2 if s in branching else rng.randint(0, 1))}
+        G = FinLTS(n, ("a", "b", "c"), 0, frozenset(edges))
+        if reachable_states(G) == set(range(n)):
+            systems.append(G)
+    return systems
+
+
+def test_kernel_dichotomy_agrees_on_seeded_branching_systems():
+    for G in _branching_systems(random.Random(23), 300):
+        assert lb.kernel_dichotomy_check(G)["agree"], G
 
 
 def _models_by_valuation_sets(theory):
