@@ -19,7 +19,7 @@ from . import report as rp
 from . import spectrum as sp
 from . import topology as tp
 from .lts import (BudgetExceeded, ParseError, catalog, catalog_names,
-                  from_json, parse_aut, to_aut, to_json)
+                  from_json, is_rooted_tree, parse_aut, to_aut, to_json)
 
 
 class UsageError(Exception):
@@ -416,7 +416,7 @@ def cmd_unravel(args):
     tree, proj = hml.tree_unravel(G, v, args.d)
     lines = ["%d vertices: %s"
              % (tree.n, ", ".join(tree.name_of(i) for i in range(tree.n))),
-             "clean tree: %s" % hml.tree_shape_checks(tree)]
+             "clean tree: %s" % is_rooted_tree(tree)]
     payload = {"vertices": [tree.name_of(i) for i in range(tree.n)],
                "projection": list(proj.mapping)}
     if args.formula:

@@ -9,8 +9,8 @@ choice of disjunct in the witness construction and is rejected up front.
 import itertools
 from dataclasses import dataclass
 
-from .hml import (And, Diamond, Top, depth, holds, in_fragment, labels_of,
-                  require_labels, satisfies)
+from .hml import (And, Diamond, Top, depth, extension, in_fragment,
+                  labels_of, require_labels, satisfies)
 from .lts import (BudgetExceeded, FinLTS, Homomorphism, catalog_systems,
                   enumerate_homs)
 
@@ -82,7 +82,7 @@ def heyting_implication_presheaf(G, v, phi, psi):
     _require_fragment(phi, G)
     _require_fragment(psi, G)
     fe = free_extension(G, v, phi)
-    return holds(fe.extended, fe.inclusion(v), psi)
+    return bool(extension(fe.extended, psi, {}) >> fe.inclusion(v) & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -451,7 +451,8 @@ def is_equality_free(phi):
 
 # ---------------------------------------------------------------------------
 # sequent text syntax:  D(x,y) & D(x,z) |- y = z     (E w. ... for exists;
-# identifiers starting with c_ are state constants), read by hml's parser core
+# terms and bound variables are identifiers, those starting with c_ state
+# constants), read by hml's parser core
 
 
 _TOKEN = re.compile(r"\s*(\|-|\||&|\(|\)|=|\.|,|[A-Za-z_][A-Za-z_0-9]*)")
@@ -474,34 +475,40 @@ def parse_gformula(text):
     return _parse(tokens, _SEQUENT, "trailing input in sequent")
 
 
+def _name(tok):
+    """tok, which must be an identifier: a term or a bound variable."""
+    if not tok.isidentifier():
+        raise ParseError("expected an identifier, got %r" % tok)
+    return tok
+
+
 def _term(tok):
-    if tok.startswith("c_"):
-        return Const(tok[2:])
-    return Var(tok)
+    return Const(tok[2:]) if _name(tok).startswith("c_") else Var(tok)
 
 
 def _sequent_prefix(tokens, pos, lang):
+    """Each form reads its punctuation before its names: a malformed form
+    reports its punctuation, and a name's token exists once a later one
+    does."""
     tok = _peek(tokens, pos)
     if tok == "(":
         return _parse_group(tokens, pos, lang)
     if tok == "E":
-        v = _take(tokens, pos + 1, lang)
         _take(tokens, pos + 2, lang, ".")
-        body, pos = _sequent_prefix(tokens, pos + 3, lang)
-        return Exists(v, body), pos
+        body, end = _sequent_prefix(tokens, pos + 3, lang)
+        return Exists(_name(tokens[pos + 1]), body), end
     if tok in PREDICATES and pos + 1 < len(tokens) \
             and tokens[pos + 1] == "(":
-        t1 = _term(_take(tokens, pos + 2, lang))
         _take(tokens, pos + 3, lang, ",")
-        t2 = _term(_take(tokens, pos + 4, lang))
         _take(tokens, pos + 5, lang, ")")
-        return Atom(tok, t1, t2), pos + 6
+        return Atom(tok, _term(tokens[pos + 2]), _term(tokens[pos + 4])), \
+            pos + 6
     if tok in ("T", "F"):
         return (TOP if tok == "T" else BOT), pos + 1
     # bare term: must be an equality
-    _take(tokens, pos, lang)
     _take(tokens, pos + 1, lang, "=")
-    return Eq(_term(tok), _term(_take(tokens, pos + 2, lang))), pos + 3
+    _take(tokens, pos + 2, lang)
+    return Eq(_term(tok), _term(tokens[pos + 2])), pos + 3
 
 
 _SEQUENT = _Language(_sequent_prefix, lambda parts: Or(tuple(parts)), "sequent")

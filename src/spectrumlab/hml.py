@@ -180,29 +180,7 @@ def require_labels(G, phi):
 
 def satisfies(G, s, phi):
     require_labels(G, phi)
-    return holds(G, s, phi)
-
-
-def holds(G, s, phi):
-    """Satisfaction without the label check: a label outside the alphabet
-    has no moves.  Dispatches once on the node's type."""
-    rule = _HOLDS.get(type(phi))
-    if rule is None:
-        raise TypeError(phi)
-    return rule(G, s, phi)
-
-
-_HOLDS = {
-    Top: lambda G, s, phi: True,
-    Bot: lambda G, s, phi: False,
-    And: lambda G, s, phi: holds(G, s, phi.left) and holds(G, s, phi.right),
-    Or: lambda G, s, phi: holds(G, s, phi.left) or holds(G, s, phi.right),
-    Diamond: lambda G, s, phi: any(holds(G, t, phi.body)
-                                   for t in G.moves(s).get(phi.label, ())),
-    Box: lambda G, s, phi: all(holds(G, t, phi.body)
-                               for t in G.moves(s).get(phi.label, ())),
-    Neg: lambda G, s, phi: not holds(G, s, phi.body),
-}
+    return bool(extension(G, phi, {}) >> s & 1)
 
 
 def extension(G, phi, memo):
@@ -384,9 +362,10 @@ def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
         raise ValueError("depth bound must be at least 0, not %d" % depth_bound)
     alphabet = sorted(set(M.alphabet) | set(N.alphabet))
     shared = set(M.alphabet) & set(N.alphabet)
+    on_m, on_n = {}, {}  # one memo per system across the family
     for phi in canonical_formulas(alphabet, depth_bound, fragment):
-        if (labels_of(phi) <= shared and holds(M, M.root, phi)
-                and not holds(N, N.root, phi)):
+        if (labels_of(phi) <= shared and extension(M, phi, on_m) >> M.root & 1
+                and not extension(N, phi, on_n) >> N.root & 1):
             return phi
     return None
 
@@ -462,17 +441,6 @@ def _rerooted(G, v):
     if v == G.root:
         return G
     return FinLTS(G.n, G.alphabet, v, G.transitions, G.names)
-
-
-def tree_shape_checks(T):
-    """Unraveling outputs must be trees: no edge s->s, and every vertex has
-    at most one parent."""
-    no_self = all(s != t for (s, a, t) in T.transitions)
-    by_target = {}
-    for (s, a, t) in T.transitions:
-        by_target.setdefault(t, set()).add(s)
-    unique_parent = all(len(v) == 1 for v in by_target.values())
-    return no_self and unique_parent
 
 
 # ---------------------------------------------------------------------------

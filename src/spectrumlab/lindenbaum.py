@@ -169,10 +169,7 @@ def symmetry_hom(G):
     lind = lindenbaum(G)
     autos = automorphisms(G)
     identity = {x: x for x in lind.lattice.elements}
-    entries = []
-    for sigma in autos:
-        induced = induced_lattice_map(lind, sigma)
-        entries.append((sigma, induced))
+    entries = [(sigma, induced_lattice_map(lind, sigma)) for sigma in autos]
     kernel = [sigma for (sigma, ind) in entries if ind == identity]
     image = {frozenset(ind.items()) for (_, ind) in entries}
     return {
@@ -186,20 +183,15 @@ def symmetry_hom(G):
 
 
 def is_group_hom(G):
-    """Compatibility with composition and identity, on all pairs."""
-    lind = lindenbaum(G)
-    autos = automorphisms(G)
-    ind = {sigma: induced_lattice_map(lind, sigma) for sigma in autos}
-    identity = tuple(range(G.n))
-    if ind[identity] != {x: x for x in lind.lattice.elements}:
-        return False
-    for s1 in autos:
-        for s2 in autos:
-            comp = tuple(s1[s2[i]] for i in range(G.n))
-            composed = {x: ind[s1][ind[s2][x]] for x in lind.lattice.elements}
-            if ind[comp] != composed:
-                return False
-    return True
+    """Compatibility with composition and identity, on all pairs; the
+    induced maps are symmetry_hom's."""
+    hom = symmetry_hom(G)
+    ind = dict(hom["entries"])
+    elements = hom["lindenbaum"].lattice.elements
+    return tuple(range(G.n)) in hom["kernel"] and all(
+        ind[tuple(s1[i] for i in s2)]
+        == {x: ind[s1][ind[s2][x]] for x in elements}
+        for s1 in ind for s2 in ind)
 
 
 def kernel_dichotomy_check(G):

@@ -2,7 +2,7 @@ import contextlib
 import gc
 import io
 
-from spectrumlab import cli
+from spectrumlab import cli, hml
 
 
 def _cyclic_garbage_after(call):
@@ -28,3 +28,27 @@ def run_cli(*argv):
         except SystemExit as e:
             code = e.code
     return code, out.getvalue(), err.getvalue()
+
+
+def holds_by_isinstance(G, s, phi):
+    """Pointwise satisfaction by an isinstance chain: the oracle for
+    hml.extension.  A label outside the alphabet has no moves."""
+    if isinstance(phi, hml.Top):
+        return True
+    if isinstance(phi, hml.Bot):
+        return False
+    if isinstance(phi, hml.And):
+        return (holds_by_isinstance(G, s, phi.left)
+                and holds_by_isinstance(G, s, phi.right))
+    if isinstance(phi, hml.Or):
+        return (holds_by_isinstance(G, s, phi.left)
+                or holds_by_isinstance(G, s, phi.right))
+    if isinstance(phi, hml.Diamond):
+        return any(holds_by_isinstance(G, t, phi.body)
+                   for t in G.moves(s).get(phi.label, ()))
+    if isinstance(phi, hml.Box):
+        return all(holds_by_isinstance(G, t, phi.body)
+                   for t in G.moves(s).get(phi.label, ()))
+    if isinstance(phi, hml.Neg):
+        return not holds_by_isinstance(G, s, phi.body)
+    raise TypeError(phi)

@@ -206,6 +206,7 @@ _BAD_JSON = {
     (["lindenbaum", "fan()"], 2),
     (["lindenbaum", "fan(1,2)"], 2),
     (["lindenbaum", "fanLTS(a)"], 2),
+    (["sigma", "custom", "D(x,&) |- D(&,x)", "Q"], 2),
 ])
 def test_errors_are_not_verdicts(tmp_path, argv, code):
     # an error or an exhausted budget never reads as "property fails"
@@ -230,6 +231,8 @@ def test_errors_are_not_verdicts(tmp_path, argv, code):
     # a malformed family argument names the family and what it takes
     if argv == ["lindenbaum", "fan(x)"]:
         assert err == "error: fan takes one integer k >= 0, got 'x'\n"
+    if argv[:2] == ["sigma", "custom"] and "&" in argv[2]:
+        assert err == "error: expected an identifier, got '&'\n"
 
 
 def test_hom_budget_names_amount_and_limit(monkeypatch):

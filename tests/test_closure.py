@@ -4,13 +4,13 @@ import random
 import re
 
 import pytest
-from conftest import run_cli
+from conftest import holds_by_isinstance, run_cli
 
 from spectrumlab import closure as cl
 from spectrumlab import report
 from spectrumlab.closure import (MAX_BRUTE_STATES, _partitions,
                                  _require_fragment, diamond_count)
-from spectrumlab.hml import (And, Diamond, Top, TOP, holds, parse_formula,
+from spectrumlab.hml import (And, Diamond, Top, TOP, parse_formula,
                              satisfies)
 from spectrumlab.lts import BudgetExceeded, FinLTS, catalog, trace_lts
 
@@ -86,7 +86,7 @@ def test_oracle_agrees_on_catalog():
 
 
 # The oracle as it was before realizations became (n, edges) pairs: one
-# validated FinLTS per realization, decided by hml.holds.
+# validated FinLTS per realization, decided by pointwise satisfaction.
 
 
 def _quotient_by(G, blocks):
@@ -142,7 +142,7 @@ def _brute_force_by_systems(G, v, phi, psi, size_bound):
         H0, cls = _quotient_by(G, blocks)
         anchor = cls[v]
         for H in _realizations(H0, anchor, phi, max_states):
-            if not holds(H, anchor, psi):
+            if not holds_by_isinstance(H, anchor, psi):
                 return False
     return True
 
@@ -220,7 +220,8 @@ def test_pruned_oracle_matches_unpruned(monkeypatch):
             assert len(calls) == len(blocks) or not verdict
             for got, part in zip(calls, blocks):
                 H0, cls = _quotient_by(G, part)
-                assert got == (0 if holds(H0, cls[v], psi) else 1)
+                assert got == (
+                    0 if holds_by_isinstance(H0, cls[v], psi) else 1)
             skipped += calls.count(0)
             enumerated += calls.count(1)
     assert verdicts == {True, False}
@@ -316,7 +317,7 @@ def test_oracle_matches_system_oracle():
                 for H in systems:
                     edges = got[H.n, H.transitions]
                     assert cl._holds_in(H.n, edges, cls[v], psi, offsets) \
-                        == holds(H, cls[v], psi)
+                        == holds_by_isinstance(H, cls[v], psi)
     assert verdicts == {True, False}
     assert repeats > 0
 

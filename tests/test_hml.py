@@ -3,12 +3,12 @@ import random
 from functools import reduce
 
 import pytest
-from conftest import _cyclic_garbage_after
+from conftest import _cyclic_garbage_after, holds_by_isinstance
 
 from spectrumlab import hml
 from spectrumlab.equivalences import d_equivalent
 from spectrumlab.lts import (FinLTS, ParseError, catalog, catalog_systems,
-                             trace_lts)
+                             is_rooted_tree, trace_lts)
 
 
 def test_parse_print_roundtrip():
@@ -84,6 +84,58 @@ def test_distinguishing_formula():
     assert hml.distinguishing_formula(P, Q, fragment="traceObs") is None
 
 
+def _distinguishing_by_points(M, N, fragment, depth_bound):
+    """distinguishing_formula's loop as it was before it read extension bits,
+    kept as its oracle: pointwise satisfaction at both roots."""
+    alphabet = sorted(set(M.alphabet) | set(N.alphabet))
+    shared = set(M.alphabet) & set(N.alphabet)
+    for phi in hml.canonical_formulas(alphabet, depth_bound, fragment):
+        if (hml.labels_of(phi) <= shared
+                and holds_by_isinstance(M, M.root, phi)
+                and not holds_by_isinstance(N, N.root, phi)):
+            return phi
+    return None
+
+
+def test_distinguishing_formula_matches_pointwise_loop(monkeypatch):
+    """The same separator, or None, as the pointwise loop on every ordered
+    pair of distinct catalog systems over one alphabet and on 200 seeded
+    pairs of at most 4 states over {a, b}, in every fragment at depths 0 to
+    3.  Each family is enumerated once and handed to both loops."""
+    families, enumerate_family = {}, hml.canonical_formulas
+
+    def family(alphabet, depth_bound, fragment):
+        key = (tuple(alphabet), depth_bound, fragment)
+        if key not in families:
+            families[key] = enumerate_family(alphabet, depth_bound, fragment)
+        return families[key]
+
+    monkeypatch.setattr(hml, "canonical_formulas", family)
+    systems = list(catalog_systems().values())
+    pairs = [(M, N) for M in systems for N in systems
+             if M is not N and set(M.alphabet) == set(N.alphabet)]
+    rng = random.Random(24)
+
+    def small():
+        n = rng.randint(1, 4)
+        return FinLTS(n, ("a", "b"), rng.randrange(n), frozenset(
+            (s, a, t) for s in range(n) for a in "ab" for t in range(n)
+            if rng.random() < 0.3))
+
+    pairs += [(small(), small()) for _ in range(200)]
+    outcomes = set()
+    for M, N in pairs:
+        for fragment in hml.FRAGMENTS:
+            for d in range(4):
+                got = hml.distinguishing_formula(M, N, fragment, d)
+                assert got == _distinguishing_by_points(M, N, fragment, d), \
+                    (M, N, fragment, d)
+                outcomes.add((d, got is None))
+    assert outcomes == set(itertools.product(range(4), (True, False)))
+    with pytest.raises(ValueError, match=r"unknown label\(s\): c$"):
+        hml.satisfies(M, M.root, hml.parse_formula("<a>(<c>T & <b>T)"))
+
+
 def test_canonical_family_is_normalized():
     fams = hml.canonical_formulas(("a", "b"), 2, "diamondOnly", max_conj=None)
     assert hml.TOP in fams and hml.parse_formula("<a>T") in fams
@@ -103,7 +155,7 @@ def test_oracle_agrees_with_fixpoint_decision():
 def test_tree_unravel():
     D = catalog("diamond")
     tree, proj = hml.tree_unravel(D, D.root, 2)
-    assert hml.tree_shape_checks(tree)
+    assert is_rooted_tree(tree)
     assert proj.is_valid()
     names = {tree.name_of(i) for i in range(tree.n)}
     assert names == {"ε", "b", "c", "bd", "cd"}
@@ -139,29 +191,6 @@ def test_truth_set():
     assert 0 in ts  # T is formula 0 and always holds
 
 
-def _holds_by_isinstance(G, s, phi):
-    """The isinstance chain that `holds` replaced, kept as its oracle."""
-    if isinstance(phi, hml.Top):
-        return True
-    if isinstance(phi, hml.Bot):
-        return False
-    if isinstance(phi, hml.And):
-        return (_holds_by_isinstance(G, s, phi.left)
-                and _holds_by_isinstance(G, s, phi.right))
-    if isinstance(phi, hml.Or):
-        return (_holds_by_isinstance(G, s, phi.left)
-                or _holds_by_isinstance(G, s, phi.right))
-    if isinstance(phi, hml.Diamond):
-        return any(_holds_by_isinstance(G, t, phi.body)
-                   for t in G.moves(s).get(phi.label, ()))
-    if isinstance(phi, hml.Box):
-        return all(_holds_by_isinstance(G, t, phi.body)
-                   for t in G.moves(s).get(phi.label, ()))
-    if isinstance(phi, hml.Neg):
-        return not _holds_by_isinstance(G, s, phi.body)
-    raise TypeError(phi)
-
-
 def test_holds_dispatch_matches_isinstance_chain():
     rng = random.Random(5)
 
@@ -182,28 +211,23 @@ def test_holds_dispatch_matches_isinstance_chain():
         labels = list(G.alphabet) + ["zz"]  # one label with no moves
         for _ in range(40):
             phi = formula(4, labels)
+            mask = hml.extension(G, phi, {})
             for s in range(G.n):
-                got = hml.holds(G, s, phi)
-                assert got == _holds_by_isinstance(G, s, phi), (G, s, phi)
+                got = bool(mask >> s & 1)
+                assert got == holds_by_isinstance(G, s, phi), (G, s, phi)
                 seen.add(got)
     assert seen == {True, False}
-    # short-circuiting: the right operand is read only when it decides
     junk = object()
-    G = catalog("Q")
-    assert hml.holds(G, 0, hml.And(hml.BOT, junk)) is False
-    assert hml.holds(G, 0, hml.Or(hml.TOP, junk)) is True
-    assert hml.holds(G, 0, hml.Diamond("zz", junk)) is False
-    assert hml.holds(G, 0, hml.Box("zz", junk)) is True
     for phi in (junk, hml.And(hml.TOP, junk), hml.Or(hml.BOT, junk),
                 hml.Neg(junk), "T"):
         with pytest.raises(TypeError):
-            hml.holds(G, 0, phi)
+            hml.extension(catalog("Q"), phi, {})
 
 
 def test_extension_matches_pointwise_holds():
-    """Bit s of extension is holds at s, on seeded systems with self-loops
-    and multi-character labels; one memo shared across a complete family
-    gives the masks that a fresh memo per formula gives."""
+    """Bit s of extension is pointwise satisfaction at s, on seeded systems
+    with self-loops and multi-character labels; one memo shared across a
+    complete family gives the masks that a fresh memo per formula gives."""
     rng = random.Random(20)
     labels = ("a", "b", "go", "g")
     kinds = set()
@@ -235,7 +259,8 @@ def test_extension_matches_pointwise_holds():
             mask = hml.extension(G, phi, {})
             assert mask >> G.n == 0
             for s in range(G.n):
-                assert (mask >> s & 1) == hml.holds(G, s, phi), (G, s, phi)
+                assert (mask >> s & 1) == holds_by_isinstance(G, s, phi), \
+                    (G, s, phi)
         pair = tuple(sorted(rng.sample(labels, 2)))
         if pair not in families:
             families[pair] = hml.canonical_formulas(pair, 2, "full",

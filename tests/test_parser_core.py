@@ -1,11 +1,15 @@
 """hml's parser core against the two recursive-descent parsers it replaced,
 kept here as its oracle: one for modal formulas, one for geometric
 formulas.  Each old parser is as it was, with its names prefixed (and
-geometry's node names qualified)."""
+geometry's node names qualified); the sequent reader differs from its old
+parser only in rejecting terms and bound variables that are not
+identifiers."""
 
+import operator
 import random
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -221,15 +225,15 @@ def _fuzz_text(rng, pieces, operands):
     return "".join(parts)
 
 
-def _fuzz(new, old, pieces, operands, seed):
-    """The fuzzed strings on which the parsers differ, and the outcome kinds
-    seen: the first word of an error, "ok", or "ok3" for a formula with at
-    least three disjuncts."""
+def _fuzz(new, old, pieces, operands, seed, agree=operator.eq):
+    """The fuzzed strings on which the parsers' outcomes do not agree, and
+    the outcome kinds seen: the first word of an error, "ok", or "ok3" for
+    a formula with at least three disjuncts."""
     rng, mismatches, kinds = random.Random(seed), [], set()
     for _ in range(FUZZ_STRINGS):
         text = _fuzz_text(rng, pieces, operands)
         out = _outcome(new, text)
-        if out != _outcome(old, text):
+        if not agree(out, _outcome(old, text)):
             mismatches.append(text)
         if isinstance(out, str):
             kinds.add(out.split()[1])
@@ -245,9 +249,38 @@ def test_formula_parser_matches_old_parser_on_fuzzed_text():
              "expected"})
 
 
+def _names(phi):
+    """The variable names in phi's terms and binders."""
+    if isinstance(phi, (geo.Atom, geo.Eq)):
+        return {t.name for t in (phi.left, phi.right)
+                if isinstance(t, geo.Var)}
+    if isinstance(phi, geo.Exists):
+        return {phi.var} | _names(phi.body)
+    if isinstance(phi, geo.And):
+        return _names(phi.left) | _names(phi.right)
+    if isinstance(phi, geo.Or):
+        return set().union(*map(_names, phi.parts))
+    return set()
+
+
+_NOT_AN_IDENTIFIER = "error: expected an identifier, got "
+
+
+def _agrees_but_for_identifiers(new, old):
+    """The old parser's outcome, except that a term or bound variable that
+    is not an identifier is an error: where the old parser accepted one,
+    and possibly where it failed only further on."""
+    rejected = isinstance(new, str) and new.startswith(_NOT_AN_IDENTIFIER)
+    if isinstance(old, str):
+        return new == old or rejected
+    if all(map(str.isidentifier, _names(old[0]))):
+        return new == old
+    return rejected
+
+
 def test_gformula_parser_matches_old_parser_on_fuzzed_text():
     assert _fuzz(geo.parse_gformula, old_parse_gformula, SEQUENT_PIECES,
-                 SEQUENT_OPERANDS, 23) == (
+                 SEQUENT_OPERANDS, 23, _agrees_but_for_identifiers) == (
         [], {"ok", "ok3", "bad", "trailing", "unexpected", "expected"})
 
 
@@ -274,3 +307,12 @@ def test_parse_formula_inverts_str(phi):
 def test_lex_splits_named_groups():
     assert hml._lex(hml._FORMULA_TOKEN, " <a> & [b]x") == (
         [("dia", "a"), "&", ("box", "b")], 10)
+
+
+def test_sequent_terms_and_bound_variables_are_identifiers():
+    for text in ("& = x", "D((,))", "E ( . T", "D(x,&)", "x = |"):
+        with pytest.raises(ParseError, match="expected an identifier"):
+            geo.parse_gformula(text)
+    assert geo.parse_gformula("x = F") == geo.Eq(geo.Var("x"), geo.Var("F"))
+    assert geo.parse_gformula("E F. D(F,c_q0)") == geo.Exists(
+        "F", geo.Atom("D", geo.Var("F"), geo.Const("q0")))
