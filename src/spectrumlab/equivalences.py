@@ -1,10 +1,10 @@
 """Decision procedures for behavioral equivalences between finite systems.
 
 State sets are int masks.  Simulation cuts one mask of N-states per M-state
-to a fixpoint; bisimulation is signature partition refinement on the
-disjoint union (Kanellakis & Smolka 1990); trace and failures walk the
-product of the subset constructions on the fly, up to union (Bonchi & Pous
-2013)."""
+to a fixpoint, each (label, row) preimage computed once; bisimulation is
+signature partition refinement on the disjoint union (Kanellakis & Smolka
+1990); trace and failures walk the product of the subset constructions up
+to union (Bonchi & Pous 2013), indexing checked pairs by lowest state."""
 
 from dataclasses import dataclass
 
@@ -20,8 +20,7 @@ def _label_masks(G, back=False):
     """label -> per-state mask of a-successors (a-predecessors with back)."""
     masks = {}
     for (s, a, t) in G.transitions:
-        if back:
-            s, t = t, s
+        s, t = (t, s) if back else (s, t)
         masks.setdefault(a, [0] * G.n)[s] |= 1 << t
     return masks
 
@@ -43,16 +42,18 @@ def _simulation(M, N, rows, rounds=None):
     """Keep t in row s only if t matches each move s -a-> s2 by an a-move
     into rows[s2]: in place to the greatest fixpoint (each round but the
     last removes a pair), or for the given number of synchronous rounds."""
-    pre = _label_masks(N, back=True)
+    pre, memo = _label_masks(N, back=True), {a: {} for a in M.alphabet}
     for _ in range(M.n * N.n + 1 if rounds is None else rounds):
         old = list(rows)
         cur = rows if rounds is None else old
         for s in range(M.n):
             row = cur[s]
             for a, succ in M.moves(s).items():
-                pa = pre.get(a)
+                ma, pa = memo[a], pre.get(a)  # ma: row -> its a-preimage
                 for s2 in succ:
-                    row &= _image(pa, cur[s2]) if pa else 0
+                    if cur[s2] not in ma:
+                        ma[cur[s2]] = _image(pa, cur[s2]) if pa else 0
+                    row &= ma[cur[s2]]
             rows[s] = row
         if rows == old:
             break
@@ -60,8 +61,7 @@ def _simulation(M, N, rows, rounds=None):
 
 
 def simulation_preorder(M, N, seed=None):
-    """Greatest simulation relation (inside seed, when given): (s,t) kept iff
-    every move of s is matched from t inside the relation."""
+    """Greatest simulation relation, inside seed when one is given."""
     rows = [(1 << N.n) - 1 if seed is None else 0] * M.n
     for (s, t) in seed or ():
         rows[s] |= 1 << t
@@ -106,15 +106,20 @@ def ready_sim_equivalent(M, N):
 
 def _bisim_blocks(M, N):
     """Block of each state of M then N in the coarsest stable partition of
-    their union; each round splits blocks by the (label, block) moves."""
-    out = [[(a, off + y) for a, ys in G.moves(s).items() for y in ys]
+    their union; each round splits blocks by the (label, block) moves, as
+    bits block * k + i of one int, i < k numbering M's then N's labels."""
+    labels = M.alphabet + N.alphabet
+    k, num = len(labels), {a: i for i, a in enumerate(labels)}
+    out = [[(num[a], off + y) for a, ys in G.moves(s).items() for y in ys]
            for G, off in ((M, 0), (N, M.n)) for s in range(G.n)]
     block, count = [0] * len(out), 1
     while True:
-        ids = {}
-        new = [ids.setdefault((block[x], frozenset((a, block[y])
-                                                   for a, y in moves)),
-                              len(ids)) for x, moves in enumerate(out)]
+        ids, new = {}, []
+        for x, moves in enumerate(out):
+            sig = 0
+            for i, y in moves:
+                sig |= 1 << (block[y] * k + i)
+            new.append(ids.setdefault((block[x], sig), len(ids)))
         if len(ids) == count:
             return block
         block, count = new, len(ids)
@@ -154,50 +159,43 @@ def determinize(G):
 
 
 def _subset_walk(M, N, key):
-    """Walk the product of the two subset constructions from the root pair;
-    False at the first pair of state masks whose enabled labels or key(G,
-    mask) differ.  A union of checked pairs is skipped: both observations
-    are unions over states (bisimulation up to union)."""
+    """Walk the product of the subset constructions from the root pair: False
+    at the first mask pair whose enabled labels or key(G, mask) differ.  A
+    union of checked pairs is skipped: observations are unions over states."""
     succ_m, succ_n = _label_masks(M), _label_masks(N)
-    done, todo = [], [(1 << M.root, 1 << N.root)]
+    done, todo = {}, [(1 << M.root, 1 << N.root)]
     for (u, v) in todo:  # breadth first: the loop reaches what is appended
-        ju = jv = 0
-        for (x, y) in done:
-            if not (x & ~u or y & ~v):
-                ju, jv = ju | x, jv | y
+        ju, jv, bits = 0, 0, u
+        while bits:  # a checked (x, y) is listed under x's lowest state
+            for (x, y) in done.get(bits & -bits, ()):
+                if not (x & ~u or y & ~v):
+                    ju, jv = ju | x, jv | y
+            bits &= bits - 1
         if ju == u and jv == v:
             continue
         ru = {a: m for a, col in succ_m.items() if (m := _image(col, u))}
         rv = {a: m for a, col in succ_n.items() if (m := _image(col, v))}
         if ru.keys() != rv.keys() or key(M, u) != key(N, v):
             return False
-        done.append((u, v))
+        done.setdefault(u & -u, []).append((u, v))
         todo.extend((ru[a], rv[a]) for a in ru)
     return True
 
 
 def trace_equivalent(M, N):
-    """Exact prefix-closed trace language equality: enabled label sets agree
-    on every reachable pair of the determinized systems."""
+    """Trace language equality: enabled labels agree on the subset walk."""
     return _subset_walk(M, N, lambda G, S: None)
 
 
 def bounded_traces(G, bound):
-    """All trace words of length <= bound (exact BFS over subsets), each
-    the join of its labels.  Words are tuples of labels until then: joined,
-    two label sequences can coincide (a.bc and ab.c)."""
+    """All trace words of length <= bound (exact BFS over subsets), joined at
+    the end, as label sequences can coincide once joined (a.bc, ab.c)."""
     start, table = determinize(G)
-    words = {()}
-    frontier = {((), start)}
-    for _ in range(bound):
-        nxt = set()
-        for (w, cur) in frontier:
-            for a, sub in table[cur].items():
-                nw = w + (a,)
-                if nw not in words:
-                    words.add(nw)
-                    nxt.add((nw, sub))
-        frontier = nxt
+    words, frontier = {()}, {((), start)}
+    for _ in range(bound):  # each word reaches one subset: no word repeats
+        frontier = {(w + (a,), sub) for (w, cur) in frontier
+                    for a, sub in table[cur].items()}
+        words |= {w for (w, _) in frontier}
     return {"".join(w) for w in words}
 
 
@@ -208,7 +206,10 @@ def enabledness_equivalent(M, N):
 def _minimal_enabled(G, S):
     """Inclusion-minimal enabled sets over the states of mask S: after a
     trace reaching S, X is refused iff X misses one of them."""
-    sets = {G.enabled(s) for s in range(G.n) if S >> s & 1}
+    sets = set()
+    while S:
+        sets.add(G.enabled((S & -S).bit_length() - 1))
+        S &= S - 1
     return frozenset(e for e in sets if not any(f < e for f in sets))
 
 
@@ -235,8 +236,7 @@ def _pair_search(M, N, same, tag):
     if maps > budget:
         raise BudgetExceeded("function-pair search", maps, "candidate maps",
                              budget)
-    fwd = enumerate_homs(M, N)
-    bwd = enumerate_homs(N, M)
+    fwd, bwd = enumerate_homs(M, N), enumerate_homs(N, M)
     if len(fwd) * len(bwd) > budget:
         raise BudgetExceeded("function-pair search", len(fwd) * len(bwd),
                              "hom pairs", budget)

@@ -451,8 +451,8 @@ def is_equality_free(phi):
 
 # ---------------------------------------------------------------------------
 # sequent text syntax:  D(x,y) & D(x,z) |- y = z     (E w. ... for exists;
-# terms and bound variables are identifiers, those starting with c_ state
-# constants), read by hml's parser core
+# terms and bound variables are identifiers other than E, T and F, those
+# starting with c_ state constants), read by hml's parser core
 
 
 _TOKEN = re.compile(r"\s*(\|-|\||&|\(|\)|=|\.|,|[A-Za-z_][A-Za-z_0-9]*)")
@@ -476,9 +476,11 @@ def parse_gformula(text):
 
 
 def _name(tok):
-    """tok, which must be an identifier: a term or a bound variable."""
+    """tok, an identifier but not E, T or F: a term or a bound variable."""
     if not tok.isidentifier():
         raise ParseError("expected an identifier, got %r" % tok)
+    if tok in ("E", "T", "F"):
+        raise ParseError("reserved word %r cannot be a name" % tok)
     return tok
 
 

@@ -163,9 +163,11 @@ def induced_lattice_map(lind, sigma):
     return out
 
 
+@lru_cache(maxsize=64)
 def symmetry_hom(G):
     """Graph automorphisms -> lattice automorphisms of the Lindenbaum
-    algebra; reports kernel and image."""
+    algebra; reports kernel and image.  Cached, as lindenbaum is: callers
+    only read the result."""
     lind = lindenbaum(G)
     autos = automorphisms(G)
     identity = {x: x for x in lind.lattice.elements}

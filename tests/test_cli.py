@@ -86,6 +86,7 @@ def test_lindenbaum_symmetry_searches_once(monkeypatch):
     search = lb.automorphisms
     monkeypatch.setattr(lb, "automorphisms",
                         lambda G: calls.append(G) or search(G))
+    lb.symmetry_hom.cache_clear()  # an earlier test may have filled it
     code, out, _ = run_cli("lindenbaum", "twoCycle", "--symmetry")
     assert code == 0 and len(calls) == 1
     assert "automorphisms: 2, kernel: 2, image: 1" in out

@@ -534,6 +534,175 @@ def test_all_six_levels_at_one_hundred_states(seed):
                for weaker in _IMPLIES[level])
 
 
+# ---------------------------------------------------------------------------
+# The mask deciders as they were before they shared work, moved here as
+# oracles: the simulation step recomputing each preimage per edge, the walk
+# whose union check scans every checked pair, the minimal enabled sets read
+# over every state, and the partition refinement on frozenset signatures.
+# Bodies verbatim, with equivalences' helpers qualified.
+
+
+def _simulation_per_edge(M, N, rows, rounds=None):
+    """equivalences._simulation before its preimage memo: the a-preimage of
+    rows[s2] is recomputed for every edge s -a-> s2 in every round."""
+    pre = eq._label_masks(N, back=True)
+    for _ in range(M.n * N.n + 1 if rounds is None else rounds):
+        old = list(rows)
+        cur = rows if rounds is None else old
+        for s in range(M.n):
+            row = cur[s]
+            for a, succ in M.moves(s).items():
+                pa = pre.get(a)
+                for s2 in succ:
+                    row &= eq._image(pa, cur[s2]) if pa else 0
+            rows[s] = row
+        if rows == old:
+            break
+    return rows
+
+
+def _subset_walk_scanning(M, N, key):
+    """equivalences._subset_walk before its lowest-state index: the union
+    check scans every checked pair for each pair popped."""
+    succ_m, succ_n = eq._label_masks(M), eq._label_masks(N)
+    done, todo = [], [(1 << M.root, 1 << N.root)]
+    for (u, v) in todo:  # breadth first: the loop reaches what is appended
+        ju = jv = 0
+        for (x, y) in done:
+            if not (x & ~u or y & ~v):
+                ju, jv = ju | x, jv | y
+        if ju == u and jv == v:
+            continue
+        ru = {a: m for a, col in succ_m.items() if (m := eq._image(col, u))}
+        rv = {a: m for a, col in succ_n.items() if (m := eq._image(col, v))}
+        if ru.keys() != rv.keys() or key(M, u) != key(N, v):
+            return False
+        done.append((u, v))
+        todo.extend((ru[a], rv[a]) for a in ru)
+    return True
+
+
+def _minimal_enabled_all_states(G, S):
+    """equivalences._minimal_enabled before it read only the set bits of
+    the mask S: every state of G is tested for membership."""
+    sets = {G.enabled(s) for s in range(G.n) if S >> s & 1}
+    return frozenset(e for e in sets if not any(f < e for f in sets))
+
+
+def _bisim_blocks_frozensets(M, N):
+    """equivalences._bisim_blocks before its int signatures: a signature is
+    the frozenset of (label, block) pairs a state's moves reach."""
+    out = [[(a, off + y) for a, ys in G.moves(s).items() for y in ys]
+           for G, off in ((M, 0), (N, M.n)) for s in range(G.n)]
+    block, count = [0] * len(out), 1
+    while True:
+        ids = {}
+        new = [ids.setdefault((block[x], frozenset((a, block[y])
+                                                   for a, y in moves)),
+                              len(ids)) for x, moves in enumerate(out)]
+        if len(ids) == count:
+            return block
+        block, count = new, len(ids)
+
+
+def _small_pairs(seed, count):
+    """Pairs of at most 8 states over {a, b}: renumbered copies, one-edge
+    mutants and independent systems."""
+    return _random_pairs(seed, count, 8, labels="ab")
+
+
+def test_simulation_memo_matches_per_edge_oracle_on_seeded_rows():
+    # arbitrary starting rows, not only the full and the ready seeds, so
+    # that rows which no fixpoint would reach also meet the memo
+    rng = random.Random(31)
+    changed = 0
+    for M, N in _small_pairs(32, 2000):
+        rows = [rng.getrandbits(N.n) for _ in range(M.n)]
+        for rounds in (None, 0, 1, 2, 3):
+            got = eq._simulation(M, N, list(rows), rounds)
+            assert got == _simulation_per_edge(M, N, list(rows), rounds), \
+                (M, N, rows, rounds)
+            changed += got != rows
+    assert changed > 0
+
+
+def _checked_masks(walk, M, N):
+    """The walk's verdict on trace equivalence and the masks it checked, in
+    order: the key is read once for each pair it does not skip."""
+    seen = []
+    return walk(M, N, lambda G, S: seen.append((G is M, S))), seen
+
+
+def test_indexed_walk_matches_scanning_oracle():
+    # the same verdicts, and the same pairs skipped as unions of checked
+    # ones: the index may not lose a union that the scan finds
+    verdicts = set()
+    for M, N in _small_pairs(33, 2000):
+        got = _checked_masks(eq._subset_walk, M, N)
+        assert got == _checked_masks(_subset_walk_scanning, M, N), (M, N)
+        failures = eq.failures_equivalent(M, N)
+        assert failures == _subset_walk_scanning(
+            M, N, _minimal_enabled_all_states), (M, N)
+        verdicts.add((got[0], failures))
+    assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+@pytest.mark.parametrize("other_labels", (None, "bc"))
+def test_int_signatures_match_frozenset_oracle(other_labels):
+    # the same block numbers, hence the same partition; with "bc", the
+    # independent partners share one label with M and have one of their own
+    split = 0
+    for M, N in _random_pairs(36, 2000, 8, "ab", other_labels):
+        got = eq._bisim_blocks(M, N)
+        assert got == _bisim_blocks_frozensets(M, N), (M, N)
+        split += len(set(got)) > 1
+    assert split > 0
+
+
+def _walk_words(G, bound):
+    """Every label sequence of length <= bound along a path from the root,
+    joined, read off the states themselves rather than their subsets."""
+    words, frontier = {()}, {((), G.root)}
+    for _ in range(bound):
+        frontier = {(w + (a,), t) for (w, s) in frontier
+                    for a, succ in G.moves(s).items() for t in succ}
+        words |= {w for (w, _) in frontier}
+    return {"".join(w) for w in words}
+
+
+def test_bounded_traces_match_path_words():
+    sizes = set()
+    for M, _ in _random_pairs(37, 300, 6):
+        for bound in range(5):
+            got = eq.bounded_traces(M, bound)
+            assert got == _walk_words(M, bound), (M, bound)
+            sizes.add(len(got))
+    assert max(sizes) > 10
+
+
+def test_minimal_enabled_reads_only_the_set_bits():
+    rng = random.Random(34)
+    for M, _ in _small_pairs(35, 300):
+        for _ in range(8):
+            S = rng.getrandbits(M.n)
+            assert eq._minimal_enabled(M, S) == _minimal_enabled_all_states(
+                M, S)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_all_six_levels_at_four_hundred_states(seed):
+    rng = random.Random(seed)
+    G = _out_degree_two(rng, 400)
+    copy = _renumbered(rng, G)
+    assert all(eq.decide(G, copy, level) for level in eq.LEVELS)
+    mutant = _one_edge_mutant(rng, _renumbered(rng, G))
+    verdicts = {level: eq.decide(G, mutant, level) for level in eq.LEVELS}
+    assert all(verdicts[weaker] for level, holds in verdicts.items() if holds
+               for weaker in _IMPLIES[level])
+    if seed == 3:
+        assert len(set(verdicts.values())) == 2, verdicts
+
+
 def test_bounded_traces_keeps_label_sequences_apart():
     """a.b.c and the label ab join to overlapping strings: the trace a.b.c
     must not be lost because "ab" was already seen via the label ab."""

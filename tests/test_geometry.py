@@ -27,6 +27,27 @@ def test_gformula_parse_error_leaves_no_cycle():
     assert _cyclic_garbage_after(parse_bad) == 0
 
 
+@pytest.mark.parametrize("word", ("E", "T", "F"))
+def test_reserved_words_are_not_names(word):
+    # as an equation's right side, as either argument of an atom, and as a
+    # bound variable; a predicate name stays a variable
+    for text in ("x = %s", "D(%s,x)", "G(x,%s)", "E %s. D(x,y)"):
+        with pytest.raises(ParseError, match="^reserved word %r cannot be "
+                                             "a name$" % word):
+            geo.parse_gformula(text % word)
+    assert geo.parse_gformula("D = x") == geo.Eq(geo.Var("D"), geo.Var("x"))
+
+
+def test_reserved_word_on_the_left_keeps_its_errors():
+    # E and T start a quantifier and a truth constant: the texts already
+    # fail there, with the messages they always had
+    for text, msg in (("E = x", "expected '.', got 'x'"),
+                      ("T = x", "trailing input in sequent"),
+                      ("F = x", "trailing input in sequent")):
+        with pytest.raises(ParseError, match="^%s$" % msg):
+            geo.parse_gformula(text)
+
+
 def test_parse_sequent_roundtrip():
     s = geo.parse_sequent("D(x,y) & D(x,z) |- y = z")
     assert s == geo.named_sigma("det")

@@ -224,6 +224,21 @@ def test_symmetry_hom_kernel_image():
     assert lb.is_group_hom(catalog("twoCycle"))
 
 
+def test_symmetry_hom_searches_once_per_system(monkeypatch):
+    # is_group_hom and kernel_dichotomy_check share one symmetry_hom
+    calls = []
+    search = lb.automorphisms
+    monkeypatch.setattr(lb, "automorphisms",
+                        lambda G: calls.append(G) or search(G))
+    lb.symmetry_hom.cache_clear()
+    G = catalog("hubSpokes")
+    assert lb.is_group_hom(G)
+    assert lb.kernel_dichotomy_check(G)["group_size"] == 2
+    assert lb.is_group_hom(G)
+    assert calls == [G]
+    lb.symmetry_hom.cache_clear()
+
+
 # R6's lattice elements in their stored order, each set spelled out sorted so
 # that the text does not depend on how the sets iterate
 R6_ELEMENTS = ("[sorted(sorted(m) for m in x) "

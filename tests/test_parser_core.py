@@ -263,17 +263,22 @@ def _names(phi):
     return set()
 
 
-_NOT_AN_IDENTIFIER = "error: expected an identifier, got "
+_NOT_A_NAME = ("error: expected an identifier, got ", "error: reserved word ")
+
+
+def _is_name(name):
+    return name.isidentifier() and name not in ("E", "T", "F")
 
 
 def _agrees_but_for_identifiers(new, old):
     """The old parser's outcome, except that a term or bound variable that
-    is not an identifier is an error: where the old parser accepted one,
-    and possibly where it failed only further on."""
-    rejected = isinstance(new, str) and new.startswith(_NOT_AN_IDENTIFIER)
+    is not an identifier, or is one of the reserved words E, T and F, is an
+    error: where the old parser accepted one, and possibly where it failed
+    only further on."""
+    rejected = isinstance(new, str) and new.startswith(_NOT_A_NAME)
     if isinstance(old, str):
         return new == old or rejected
-    if all(map(str.isidentifier, _names(old[0]))):
+    if all(map(_is_name, _names(old[0]))):
         return new == old
     return rejected
 
@@ -281,7 +286,8 @@ def _agrees_but_for_identifiers(new, old):
 def test_gformula_parser_matches_old_parser_on_fuzzed_text():
     assert _fuzz(geo.parse_gformula, old_parse_gformula, SEQUENT_PIECES,
                  SEQUENT_OPERANDS, 23, _agrees_but_for_identifiers) == (
-        [], {"ok", "ok3", "bad", "trailing", "unexpected", "expected"})
+        [], {"ok", "ok3", "bad", "trailing", "unexpected", "expected",
+             "reserved"})
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +319,7 @@ def test_sequent_terms_and_bound_variables_are_identifiers():
     for text in ("& = x", "D((,))", "E ( . T", "D(x,&)", "x = |"):
         with pytest.raises(ParseError, match="expected an identifier"):
             geo.parse_gformula(text)
-    assert geo.parse_gformula("x = F") == geo.Eq(geo.Var("x"), geo.Var("F"))
-    assert geo.parse_gformula("E F. D(F,c_q0)") == geo.Exists(
-        "F", geo.Atom("D", geo.Var("F"), geo.Const("q0")))
+    for text in ("x = F", "E F. D(F,c_q0)"):
+        with pytest.raises(ParseError, match="^reserved word 'F' cannot be "
+                                             "a name$"):
+            geo.parse_gformula(text)
