@@ -1,37 +1,20 @@
 """Decision procedures for behavioral equivalences between finite systems.
 
-State sets are int masks.  Simulation cuts one mask of N-states per M-state
-to a fixpoint, each (label, row) preimage computed once; bisimulation is
+State sets are int masks; mask columns and enabled sets are read from each
+FinLTS's index.  Simulation cuts one mask of N-states per M-state to a
+fixpoint, each (label, row) preimage computed once; bisimulation is
 signature partition refinement on the disjoint union (Kanellakis & Smolka
 1990); trace and failures walk the product of the subset constructions up
 to union (Bonchi & Pous 2013), indexing checked pairs by lowest state."""
 
 from dataclasses import dataclass
 
-from .lts import (BudgetExceeded, Homomorphism, enumerate_homs,
+from .lts import (BudgetExceeded, Homomorphism, _image, enumerate_homs,
                   enumeration_budget, iso_check, path_equivalent, quotient,
                   reachable_from)
 
 LEVELS = ("enabledness", "trace", "failures", "simulation",
           "readySimulation", "bisimulation")
-
-
-def _label_masks(G, back=False):
-    """label -> per-state mask of a-successors (a-predecessors with back)."""
-    masks = {}
-    for (s, a, t) in G.transitions:
-        s, t = (t, s) if back else (s, t)
-        masks.setdefault(a, [0] * G.n)[s] |= 1 << t
-    return masks
-
-
-def _image(col, mask):
-    """Union of col[i] over the set bits i of mask."""
-    out = 0
-    while mask:
-        out |= col[(mask & -mask).bit_length() - 1]
-        mask &= mask - 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -42,17 +25,17 @@ def _simulation(M, N, rows, rounds=None):
     """Keep t in row s only if t matches each move s -a-> s2 by an a-move
     into rows[s2]: in place to the greatest fixpoint (each round but the
     last removes a pair), or for the given number of synchronous rounds."""
-    pre, memo = _label_masks(N, back=True), {a: {} for a in M.alphabet}
+    cols, memo = N._masks, {a: {} for a in M.alphabet}
     for _ in range(M.n * N.n + 1 if rounds is None else rounds):
         old = list(rows)
         cur = rows if rounds is None else old
         for s in range(M.n):
             row = cur[s]
             for a, succ in M.moves(s).items():
-                ma, pa = memo[a], pre.get(a)  # ma: row -> its a-preimage
+                ma, ca = memo[a], cols.get(a)  # ma: row -> its a-preimage
                 for s2 in succ:
                     if cur[s2] not in ma:
-                        ma[cur[s2]] = _image(pa, cur[s2]) if pa else 0
+                        ma[cur[s2]] = _image(ca[1], cur[s2]) if ca else 0
                     row &= ma[cur[s2]]
             rows[s] = row
         if rows == old:
@@ -162,7 +145,6 @@ def _subset_walk(M, N, key):
     """Walk the product of the subset constructions from the root pair: False
     at the first mask pair whose enabled labels or key(G, mask) differ.  A
     union of checked pairs is skipped: observations are unions over states."""
-    succ_m, succ_n = _label_masks(M), _label_masks(N)
     done, todo = {}, [(1 << M.root, 1 << N.root)]
     for (u, v) in todo:  # breadth first: the loop reaches what is appended
         ju, jv, bits = 0, 0, u
@@ -173,8 +155,8 @@ def _subset_walk(M, N, key):
             bits &= bits - 1
         if ju == u and jv == v:
             continue
-        ru = {a: m for a, col in succ_m.items() if (m := _image(col, u))}
-        rv = {a: m for a, col in succ_n.items() if (m := _image(col, v))}
+        ru = {a: m for a, c in M._masks.items() if (m := _image(c[0], u))}
+        rv = {a: m for a, c in N._masks.items() if (m := _image(c[0], v))}
         if ru.keys() != rv.keys() or key(M, u) != key(N, v):
             return False
         done.setdefault(u & -u, []).append((u, v))

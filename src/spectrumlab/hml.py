@@ -9,7 +9,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial, reduce
 
-from .lts import FinLTS, Homomorphism, ParseError, is_rooted_tree
+from .lts import FinLTS, Homomorphism, ParseError, _image, is_rooted_tree
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +199,9 @@ def extension(G, phi, memo):
             mask = full ^ extension(G, phi.body, memo)
         elif kind is Diamond or kind is Box:  # [a]phi is !<a>!phi
             flip = 0 if kind is Diamond else full
-            rest, pre = extension(G, phi.body, memo) ^ flip, 0
-            while rest:  # a label outside the alphabet has no moves
-                low = rest & -rest
-                for u in G._in[low.bit_length() - 1].get(phi.label, ()):
-                    pre |= 1 << u
-                rest ^= low
-            mask = pre ^ flip
+            cols = G._masks.get(phi.label)  # None: the label has no moves
+            rest = extension(G, phi.body, memo) ^ flip
+            mask = (_image(cols[1], rest) if cols else 0) ^ flip
         else:
             raise TypeError(phi)
         memo[id(phi)] = mask

@@ -70,14 +70,39 @@ class FinLTS:
                 return i
         raise KeyError(name)
 
-    # -- structure queries, read from an index built on first use.  Labels
-    # are never compared (they need not be of one type), so no caller may
-    # depend on the order of labels in a row. --------------------------------
+    # -- structure queries, read from an index built part by part on first
+    # use.  Labels are never ordered (they need not be of one type), so no
+    # caller may depend on the order of labels in a row. --------------------
 
     @cached_property
     def _out(self):
         """Per state: label -> sorted list of successors."""
-        return _adjacency(self.n, self.transitions)
+        rows = [{} for _ in range(self.n)]
+        for (s, a, t) in self.transitions:
+            rows[s].setdefault(a, []).append(t)
+        for row in rows:
+            for succ in row.values():
+                succ.sort()
+        return rows
+
+    @cached_property
+    def _masks(self):
+        """Per label a with a move, its two mask columns: per state the mask
+        of its a-successors, and per state that of its a-predecessors."""
+        masks = {}
+        for (s, a, t) in self.transitions:
+            if a not in masks:
+                masks[a] = ([0] * self.n, [0] * self.n)
+            succ, pred = masks[a]
+            succ[s] |= 1 << t
+            pred[t] |= 1 << s
+        return masks
+
+    @cached_property
+    def _enabled(self):
+        """Per state, its enabled labels: one frozenset per distinct set."""
+        sets = {}
+        return tuple(sets.setdefault(e, e) for e in map(frozenset, self._out))
 
     @cached_property
     def _hom_plan(self):
@@ -97,11 +122,6 @@ class FinLTS:
                         for k, row in enumerate(back))
         return (tuple(map(tuple, back)), anchors,
                 tuple(sorted(range(self.n), key=order.__getitem__)))
-
-    @cached_property
-    def _in(self):
-        """Per state: label -> sorted list of predecessors."""
-        return _adjacency(self.n, ((t, a, s) for (s, a, t) in self.transitions))
 
     @cached_property
     def _reach_memo(self):
@@ -133,12 +153,14 @@ class FinLTS:
         return list(self._out[s].get(label, ()))
 
     def predecessors(self, s, label=None):
-        if label is None:
-            return sorted({u for pred in self._in[s].values() for u in pred})
-        return list(self._in[s].get(label, ()))
+        mask = 0
+        for a, (_, pred) in self._masks.items():
+            if label is None or a == label:
+                mask |= pred[s]
+        return [u for u in range(mask.bit_length()) if mask >> u & 1]
 
     def enabled(self, s):
-        return frozenset(self._out[s])
+        return self._enabled[s]
 
     def has_edge(self, s, t, label=None):
         if label is None:
@@ -161,14 +183,13 @@ class FinLTS:
                    for s in range(self.n) for t in self.successors(s))
 
 
-def _adjacency(n, triples):
-    rows = [{} for _ in range(n)]
-    for (s, a, t) in triples:
-        rows[s].setdefault(a, []).append(t)
-    for row in rows:
-        for succ in row.values():
-            succ.sort()
-    return rows
+def _image(col, mask):
+    """Union of col[i] over the set bits i of mask."""
+    out = 0
+    while mask:
+        out |= col[(mask & -mask).bit_length() - 1]
+        mask &= mask - 1
+    return out
 
 
 def make_lts(names, alphabet, root_name, edges):

@@ -539,13 +539,24 @@ def test_all_six_levels_at_one_hundred_states(seed):
 # oracles: the simulation step recomputing each preimage per edge, the walk
 # whose union check scans every checked pair, the minimal enabled sets read
 # over every state, and the partition refinement on frozenset signatures.
-# Bodies verbatim, with equivalences' helpers qualified.
+# Bodies verbatim, with equivalences' helpers qualified.  Their per-label
+# masks are built here from the transitions, not read from FinLTS's mask
+# index, so that the oracles share nothing with the index they check.
+
+
+def _label_masks(G, back=False):
+    """label -> per-state mask of a-successors (a-predecessors with back)."""
+    masks = {}
+    for (s, a, t) in G.transitions:
+        s, t = (t, s) if back else (s, t)
+        masks.setdefault(a, [0] * G.n)[s] |= 1 << t
+    return masks
 
 
 def _simulation_per_edge(M, N, rows, rounds=None):
     """equivalences._simulation before its preimage memo: the a-preimage of
     rows[s2] is recomputed for every edge s -a-> s2 in every round."""
-    pre = eq._label_masks(N, back=True)
+    pre = _label_masks(N, back=True)
     for _ in range(M.n * N.n + 1 if rounds is None else rounds):
         old = list(rows)
         cur = rows if rounds is None else old
@@ -564,7 +575,7 @@ def _simulation_per_edge(M, N, rows, rounds=None):
 def _subset_walk_scanning(M, N, key):
     """equivalences._subset_walk before its lowest-state index: the union
     check scans every checked pair for each pair popped."""
-    succ_m, succ_n = eq._label_masks(M), eq._label_masks(N)
+    succ_m, succ_n = _label_masks(M), _label_masks(N)
     done, todo = [], [(1 << M.root, 1 << N.root)]
     for (u, v) in todo:  # breadth first: the loop reaches what is appended
         ju = jv = 0

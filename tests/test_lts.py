@@ -339,10 +339,15 @@ def _random_system(rng):
 def test_index_matches_scanning_oracles():
     rng = random.Random(20261018)
     seen = {"tree": 0, "not tree": 0, "self-loop": 0, "no moves": 0,
-            "unreachable": 0, "nondeterministic": 0}
+            "unreachable": 0, "nondeterministic": 0, "no edges": 0}
     for _ in range(600):
         G = _random_system(rng)
         labels = G.alphabet + ("z",)  # "z" is outside every alphabet
+        for a in labels:  # only a label with a move has mask columns
+            want = tuple([sum(1 << t for t in scan(G, s, a))
+                          for s in range(G.n)]
+                         for scan in (_successors, _predecessors))
+            assert G._masks.get(a, ([0] * G.n,) * 2) == want
         for s in range(G.n):
             assert G.successors(s) == _successors(G, s)
             assert G.predecessors(s) == _predecessors(G, s)
@@ -351,6 +356,7 @@ def test_index_matches_scanning_oracles():
                 assert G.predecessors(s, a) == _predecessors(G, s, a)
             assert G.enabled(s) == _enabled(G, s)
             assert type(G.enabled(s)) is frozenset
+            assert G.enabled(s) is G.enabled(s)  # read, not built, per call
             assert G.is_deterministic_state(s) == _is_deterministic_state(G, s)
             for t in range(G.n):
                 assert G.has_edge(s, t) == _has_edge(G, s, t)
@@ -367,6 +373,7 @@ def test_index_matches_scanning_oracles():
             seen["no moves"] += not G.enabled(s)
             seen["nondeterministic"] += not G.is_deterministic_state(s)
         seen["unreachable"] += len(_reachable_from(G, G.root)) < G.n
+        seen["no edges"] += not G.transitions
         assert G.has_cycle() == _has_cycle(G)
         assert max_branching(G) == _max_branching(G)
         assert is_rooted_tree(G) == _is_rooted_tree(G)
@@ -495,8 +502,8 @@ def oracle_enumerate_homs(T, G):
                 img = g if t == s else assignment.get(t)
                 if img is not None and (g, a, img) not in G.transitions:
                     return False
-        for a, pred in T._in[s].items():  # s is unassigned: no self-loops
-            for u in pred:
+        for (u, a, t) in T.transitions:  # s is unassigned: no self-loops
+            if t == s:
                 img = assignment.get(u)
                 if img is not None and (img, a, g) not in G.transitions:
                     return False
