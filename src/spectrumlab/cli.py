@@ -167,7 +167,7 @@ def cmd_sigma(args):
     if args.name == "theory":
         M = _load_system(args.M)
         th = geo.generate_theory(M)
-        holds = all(geo.eval_sequent(M, s) for s in th.all_sequents())
+        holds = all(geo.eval_sequent(M, s) for s in th)
         lines.append("sequents: %d, all valid in the canonical model: %s"
                      % (len(th), holds))
         _emit(args, {"count": len(th), "holds": holds}, lines)
@@ -377,17 +377,17 @@ def cmd_himp(args):
     v = _state(G, args.v)
     phi = _formula(args.phi)
     psi = _formula(args.psi)
-    fe = cl.free_extension(G, v, phi)
+    ext = cl.free_extension(G, v, phi)
     verdict = cl.heyting_implication_presheaf(G, v, phi, psi)
     oracle = cl.brute_force_implication(G, v, phi, psi, G.n + 2)
     lines = [
         "implication at (%s, %s): %s" % (args.M, args.v, verdict),
         "free extension: %d states (%d fresh witnesses)"
-        % (fe.extended.n, len(fe.witnesses)),
+        % (ext.n, ext.n - G.n),
         "bounded oracle agrees: %s" % (verdict == oracle),
     ]
     payload = {"verdict": verdict, "oracle": oracle,
-               "witnesses": len(fe.witnesses)}
+               "witnesses": ext.n - G.n}
     if args.regime:
         reg = cl.regime_classify(phi, psi)
         payload["regime"] = reg["regime"]

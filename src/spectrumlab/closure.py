@@ -7,12 +7,10 @@ choice of disjunct in the witness construction and is rejected up front.
 """
 
 import itertools
-from dataclasses import dataclass
 
 from .hml import (And, Diamond, Top, depth, extension, in_fragment,
                   labels_of, require_labels, satisfies)
-from .lts import (BudgetExceeded, FinLTS, Homomorphism, catalog_systems,
-                  enumerate_homs)
+from .lts import BudgetExceeded, FinLTS, catalog_systems, enumerate_homs
 
 MAX_BRUTE_STATES = 8
 MAX_REALIZATIONS = 500_000  # per oracle call, summed over its diamonds
@@ -41,24 +39,17 @@ def diamond_count(phi):
 # free extensions
 
 
-@dataclass(frozen=True)
-class FreeExtension:
-    extended: FinLTS
-    inclusion: Homomorphism  # original system -> extended
-    witnesses: frozenset     # fresh state indices
-
-
 def free_extension(G, v, phi):
     """Adjoin one fresh successor per diamond subformula, anchored at v, so
-    that the formula holds at the image of v by construction."""
+    that the formula holds at v by construction.  G's states keep their
+    numbers, so the inclusion is the identity on them; the fresh witnesses
+    are the states from G.n on."""
     _require_fragment(phi, G)
     trans = set(G.transitions)
     names = [G.name_of(i) for i in range(G.n)]
     _adjoin(G.n, v, phi, trans, names)
-    ext = FinLTS(len(names), G.alphabet, G.root, frozenset(trans),
-                 tuple(names))
-    inclusion = Homomorphism(G, ext, tuple(range(G.n)))
-    return FreeExtension(ext, inclusion, frozenset(range(G.n, len(names))))
+    return FinLTS(len(names), G.alphabet, G.root, frozenset(trans),
+                  tuple(names))
 
 
 def _adjoin(n, anchor, psi, trans, names):
@@ -77,12 +68,11 @@ def _adjoin(n, anchor, psi, trans, names):
 
 
 def heyting_implication_presheaf(G, v, phi, psi):
-    """Implication at (G, v): evaluate the consequent at the image of v in
-    the free extension by the antecedent."""
+    """Implication at (G, v): evaluate the consequent at v in the free
+    extension by the antecedent."""
     _require_fragment(phi, G)
     _require_fragment(psi, G)
-    fe = free_extension(G, v, phi)
-    return bool(extension(fe.extended, psi, {}) >> fe.inclusion(v) & 1)
+    return bool(extension(free_extension(G, v, phi), psi, {}) >> v & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +192,9 @@ def negation_collapse_check(G, v, phi):
     """The negation of a satisfiable positive subfunctor is empty: the free
     extension itself is a homomorphic image of v satisfying the formula."""
     _require_fragment(phi, G)
-    fe = free_extension(G, v, phi)
-    holds = satisfies(fe.extended, fe.inclusion(v), phi)
+    holds = satisfies(free_extension(G, v, phi), v, phi)
     return {
         "negation": not holds,          # must come out False
-        "witness_extension": fe,
         "double_negation": holds,       # hence the double negation is full
     }
 
@@ -215,17 +203,11 @@ def negation_collapse_check(G, v, phi):
 # subfunctors and monotonicity
 
 
-@dataclass(frozen=True)
-class Subfunctor:
-    formula: object
-
-    def contains(self, G, v):
-        return satisfies(G, v, self.formula)
-
-
-def monotone_along(S, h):
+def monotone_along(phi, h):
+    """The subfunctor phi defines is preserved along h: phi at v implies
+    phi at h(v)."""
     G, H = h.source, h.target
-    return all(not S.contains(G, v) or S.contains(H, h(v))
+    return all(not satisfies(G, v, phi) or satisfies(H, h(v), phi)
                for v in range(G.n))
 
 
@@ -233,10 +215,9 @@ def monotonicity_check(phi):
     """The defining formula must be preserved along every enumerated hom
     between same-alphabet sample systems."""
     _require_fragment(phi)
-    S = Subfunctor(phi)
     systems = [g for g in catalog_systems().values()
                if labels_of(phi) <= set(g.alphabet)]
-    return all(monotone_along(S, h) for G in systems for H in systems
+    return all(monotone_along(phi, h) for G in systems for H in systems
                if set(G.alphabet) == set(H.alphabet)
                for h in enumerate_homs(G, H))
 

@@ -7,11 +7,8 @@ signature partition refinement on the disjoint union (Kanellakis & Smolka
 1990); trace and failures walk the product of the subset constructions up
 to union (Bonchi & Pous 2013), indexing checked pairs by lowest state."""
 
-from dataclasses import dataclass
-
-from .lts import (BudgetExceeded, Homomorphism, _image, enumerate_homs,
-                  enumeration_budget, iso_check, path_equivalent, quotient,
-                  reachable_from)
+from .lts import (BudgetExceeded, _image, enumerate_homs, enumeration_budget,
+                  iso_check, path_equivalent, quotient, reachable_from)
 
 LEVELS = ("enabledness", "trace", "failures", "simulation",
           "readySimulation", "bisimulation")
@@ -205,14 +202,9 @@ def failures_equivalent(M, N):
 # function-pair searches
 
 
-@dataclass(frozen=True)
-class SimPair:
-    forward: Homomorphism
-    backward: Homomorphism
-    coherence: str  # "functional" or "biInterpretation"
-
-
-def _pair_search(M, N, same, tag):
+def _pair_search(M, N, same):
+    """The first hom pair (f: M->N, g: N->M) whose round trips are both
+    the same as the identity, or None."""
     budget = enumeration_budget()
     maps = max(N.n ** M.n, M.n ** N.n)
     if maps > budget:
@@ -226,14 +218,14 @@ def _pair_search(M, N, same, tag):
         for g in bwd:
             if (all(same(M, g(f(s)), s) for s in range(M.n))
                     and all(same(N, f(g(t)), t) for t in range(N.n))):
-                return SimPair(f, g, tag)
+                return f, g
     return None
 
 
 def functional_bisim_search(M, N):
-    """Simulations f: M->N, g: N->M with both round trips path-equivalent to
-    the identity, or exhaustively-verified absence."""
-    return _pair_search(M, N, path_equivalent, "functional")
+    """Simulations (f: M->N, g: N->M) with both round trips path-equivalent
+    to the identity, or None: exhaustively-verified absence."""
+    return _pair_search(M, N, path_equivalent)
 
 
 def bi_interpretation_search(M, N):
@@ -241,7 +233,7 @@ def bi_interpretation_search(M, N):
     mutually reachable with the identity."""
     def mutual(G, u, v):
         return v in reachable_from(G, u) and u in reachable_from(G, v)
-    return _pair_search(M, N, mutual, "biInterpretation")
+    return _pair_search(M, N, mutual)
 
 
 def quotient_bridge_check(M, N):

@@ -277,22 +277,6 @@ def vanbenthem_suite(d):
 # per-system theory
 
 
-@dataclass(frozen=True)
-class Theory:
-    structural: tuple
-    existence: tuple
-    completeness: tuple
-    negative: tuple
-    domain_closure: tuple
-
-    def all_sequents(self):
-        return (self.structural + self.existence + self.completeness
-                + self.negative + self.domain_closure)
-
-    def __len__(self):
-        return len(self.all_sequents())
-
-
 def _structural_sequents():
     x, y, z = Var("x"), Var("y"), Var("z")
     return (
@@ -314,33 +298,27 @@ def _structural_sequents():
 
 
 def generate_theory(M):
+    """Th(M) as a tuple of sequents: the structural ones, then M's
+    existence, completeness and negative sequents, then domain closure."""
     x = Var("x")
-    existence = tuple(
-        Sequent((), TOP, Atom("D", Const(M.name_of(s)), Const(M.name_of(t))))
-        for (s, a, t) in sorted(M.transitions))
-    completeness = []
+    c = [Const(M.name_of(s)) for s in range(M.n)]
+    theory = list(_structural_sequents())
+    theory += [Sequent((), TOP, Atom("D", c[s], c[t]))
+               for (s, a, t) in sorted(M.transitions)]
     for s in range(M.n):
         succ = M.successors(s)
-        cons = Or(tuple(Eq(x, Const(M.name_of(t))) for t in succ))
-        if not succ:
-            cons = BOT
-        completeness.append(
-            Sequent(("x",), Atom("D", Const(M.name_of(s)), x), cons))
-    negative = []
+        theory.append(Sequent(("x",), Atom("D", c[s], x),
+                              Or(tuple(Eq(x, c[t]) for t in succ))
+                              if succ else BOT))
     for s in range(M.n):
         reach = reachable_from(M, s)
         for t in range(M.n):
             if t not in reach:
-                negative.append(Sequent(
-                    (), Atom("G", Const(M.name_of(s)), Const(M.name_of(t))), BOT))
+                theory.append(Sequent((), Atom("G", c[s], c[t]), BOT))
             if not path_equivalent(M, s, t):
-                negative.append(Sequent(
-                    (), Atom("T", Const(M.name_of(s)), Const(M.name_of(t))), BOT))
-    domain = (Sequent(("x",), TOP,
-                      Or(tuple(Eq(x, Const(M.name_of(s)))
-                               for s in range(M.n)))),)
-    return Theory(_structural_sequents(), existence, tuple(completeness),
-                  tuple(negative), domain)
+                theory.append(Sequent((), Atom("T", c[s], c[t]), BOT))
+    theory.append(Sequent(("x",), TOP, Or(tuple(Eq(x, cs) for cs in c))))
+    return tuple(theory)
 
 
 # ---------------------------------------------------------------------------
@@ -432,20 +410,6 @@ def _translate(phi, v, counter):
         fresh = "v%d" % next(counter)
         return Exists(fresh, And(Atom("D", Var(v), Var(fresh)),
                                  _translate(phi.body, fresh, counter)))
-    raise TypeError(phi)
-
-
-def is_equality_free(phi):
-    if isinstance(phi, (Top, Bot, Atom)):
-        return True
-    if isinstance(phi, Eq):
-        return False
-    if isinstance(phi, And):
-        return is_equality_free(phi.left) and is_equality_free(phi.right)
-    if isinstance(phi, Or):
-        return all(is_equality_free(p) for p in phi.parts)
-    if isinstance(phi, Exists):
-        return is_equality_free(phi.body)
     raise TypeError(phi)
 
 

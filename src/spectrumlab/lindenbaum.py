@@ -14,32 +14,26 @@ MAX_NUCLEUS_LATTICE = 12
 MAX_AUT_STATES = 10
 
 
-@dataclass(frozen=True)
-class PropTheory:
-    atoms: tuple               # free atoms: (label, src, dst) for present edges
-    exclusion_forced: tuple    # atoms fixed false (absent edges)
-    totality_clauses: tuple    # per non-terminal state: tuple of its atoms
-
-
 def labeled_theory(G):
+    """(atoms, clauses): the free atoms (label, src, dst), one per edge, and
+    per state with a move the totality clause of its atoms.  Every absent
+    edge is an atom forced false."""
     atoms = tuple(sorted((a, s, t) for (s, a, t) in G.transitions))
-    present = set(atoms)
-    forced = tuple(sorted((a, s, t) for s in range(G.n) for t in range(G.n)
-                          for a in G.alphabet if (a, s, t) not in present))
     clauses = tuple(tuple(sorted((a, s, t) for a, succ in G.moves(s).items()
                                  for t in succ))
                     for s in range(G.n) if G.moves(s))
-    return PropTheory(atoms, forced, clauses)
+    return atoms, clauses
 
 
 def enumerate_models(theory):
-    """All satisfying valuations, as frozensets of true free atoms."""
-    free = theory.atoms
+    """All valuations of labeled_theory's (atoms, clauses) satisfying every
+    clause, as frozensets of true atoms."""
+    free, totality = theory
     if len(free) > MAX_FREE_ATOMS:
         raise BudgetExceeded("model enumeration", len(free), "free atoms",
                              MAX_FREE_ATOMS)
     clauses = [sum({1 << free.index(at) for at in clause if at in free})
-               for clause in theory.totality_clauses]  # forced atoms: no bit
+               for clause in totality]  # an atom not in free: forced, no bit
     models = [frozenset(at for i, at in enumerate(free) if mask >> i & 1)
               for mask in range(1 << len(free))
               if all(mask & c for c in clauses)]
@@ -48,10 +42,8 @@ def enumerate_models(theory):
 
 @dataclass
 class Lindenbaum:
-    theory: PropTheory
     models: list           # list of frozensets
     lattice: SetLattice
-    extensions: dict       # free atom -> frozenset of models containing it
 
 
 @lru_cache(maxsize=64)
@@ -59,12 +51,8 @@ def lindenbaum(G):
     """The up-sets of the models under inclusion.  By Birkhoff's theorem
     they are the sublattice of model sets generated by the atom extensions,
     the empty and the full set: ↑m is the meet of m's atoms' extensions."""
-    theory = labeled_theory(G)
-    models = enumerate_models(theory)
-    extensions = {at: frozenset(m for m in models if at in m)
-                  for at in theory.atoms}
-    lattice = downset_lattice(models, lambda a, b: a >= b)
-    return Lindenbaum(theory, models, lattice, extensions)
+    models = enumerate_models(labeled_theory(G))
+    return Lindenbaum(models, downset_lattice(models, lambda a, b: a >= b))
 
 
 # ---------------------------------------------------------------------------

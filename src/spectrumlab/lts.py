@@ -17,11 +17,19 @@ DEFAULT_BUDGET = 10 ** 6
 
 
 def enumeration_budget():
-    """Candidate-assignment budget for exhaustive searches (env-overridable)."""
+    """Candidate-assignment budget for exhaustive searches: SPECTRUM_BUDGET,
+    a non-negative integer, when it is set; read on every call."""
     raw = os.environ.get("SPECTRUM_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
-    return int(raw)
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise ValueError("SPECTRUM_BUDGET must be a non-negative integer, "
+                         "not %r" % raw)
+    return budget
 
 
 class ParseError(ValueError):

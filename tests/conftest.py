@@ -12,6 +12,11 @@ from spectrumlab import cli, hml
 # passing run.
 TEST_TIME_LIMIT_S = 120
 
+# Per session, the nodeids of the tests interrupted so far.  Once a second
+# one is, the run stops and prints its summary: every further test of a
+# hang would cost the limit again, up to the CI job's own limit.
+_INTERRUPTED = pytest.StashKey[list]()
+
 
 class _PastTimeLimit(BaseException):
     """Raised by SIGALRM in the running test; BaseException, so that no
@@ -26,7 +31,8 @@ def _past_time_limit(signum, frame):
 def pytest_runtest_call(item):
     """Run the test under an alarm.  Past the limit, fail it by message
     only: pytest cannot render the frame the signal interrupted (its
-    tb_lineno is None on Python 3.11)."""
+    tb_lineno is None on Python 3.11).  The second such test stops the
+    session."""
     previous = signal.signal(signal.SIGALRM, _past_time_limit)
     signal.alarm(TEST_TIME_LIMIT_S)
     try:
@@ -36,6 +42,12 @@ def pytest_runtest_call(item):
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+    interrupted = item.session.stash.setdefault(_INTERRUPTED, [])
+    interrupted.append(item.nodeid)
+    if len(interrupted) >= 2:
+        item.session.shouldstop = ("%d tests ran past %d s: %s"
+                                   % (len(interrupted), TEST_TIME_LIMIT_S,
+                                      ", ".join(interrupted)))
     pytest.fail("test ran past %d s, interrupted in %s()"
                 % (TEST_TIME_LIMIT_S, where), pytrace=False)
 

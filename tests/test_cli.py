@@ -247,6 +247,21 @@ def test_hom_budget_names_amount_and_limit(monkeypatch):
         assert re.search(r"\b%d\b" % number, err), number
 
 
+@pytest.mark.parametrize("budget", ["-1", "abc", "1.5", ""])
+def test_bad_budget_is_a_usage_error_naming_the_variable(monkeypatch, budget):
+    monkeypatch.setenv("SPECTRUM_BUDGET", budget)
+    code, out, err = run_cli("topology", "prefix", "ab", "abb")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: SPECTRUM_BUDGET must be a non-negative "
+                          "integer"), err
+
+
+def test_zero_budget_is_a_budget(monkeypatch):
+    monkeypatch.setenv("SPECTRUM_BUDGET", "0")
+    code, _, err = run_cli("topology", "prefix", "ab", "abb")
+    assert code == 3 and err.startswith("error: budget exceeded: "), err
+
+
 def test_topology_support_multi_character_labels(tmp_path):
     # a label is an atom: "go" is one step, not the letters g and o
     path = tmp_path / "gostop.json"

@@ -6,7 +6,7 @@ import pytest
 from spectrumlab import equivalences as eq
 from spectrumlab.hml import d_equivalence_oracle
 from spectrumlab.lts import (BudgetExceeded, FinLTS, catalog, enumerate_homs,
-                             fan_lts, trace_lts)
+                             fan_lts, path_equivalent, trace_lts)
 
 
 def test_level_order_on_classic_pair():
@@ -93,9 +93,12 @@ def test_depth_hierarchy_is_monotone():
 def test_functional_bisim_search():
     G = catalog("hubSpokes")
     H = catalog("twoCycle")
-    pair = eq.functional_bisim_search(G, H)
-    assert pair is not None and pair.coherence == "functional"
-    assert pair.forward.is_valid() and pair.backward.is_valid()
+    f, g = eq.functional_bisim_search(G, H)
+    assert (f.source, f.target, g.source, g.target) == (G, H, H, G)
+    assert f.is_valid() and g.is_valid()
+    # functional: both round trips are path-equivalent to the identity
+    assert all(path_equivalent(G, g(f(s)), s) for s in range(G.n))
+    assert all(path_equivalent(H, f(g(t)), t) for t in range(H.n))
     assert eq.functional_bisim_search(catalog("P_abc"), catalog("Q")) is None
 
 

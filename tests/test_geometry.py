@@ -5,8 +5,23 @@ from conftest import _cyclic_garbage_after
 
 from spectrumlab import geometry as geo
 from spectrumlab.equivalences import bisimilar, greatest_bisimulation
-from spectrumlab.hml import parse_formula
-from spectrumlab.lts import ParseError, catalog, unlabeled_catalog_systems
+from spectrumlab.hml import And, Bot, Top, parse_formula
+from spectrumlab.lts import (ParseError, catalog, path_equivalent,
+                             reachable_from, unlabeled_catalog_systems)
+
+
+def is_equality_free(phi):
+    if isinstance(phi, (Top, Bot, geo.Atom)):
+        return True
+    if isinstance(phi, geo.Eq):
+        return False
+    if isinstance(phi, And):
+        return is_equality_free(phi.left) and is_equality_free(phi.right)
+    if isinstance(phi, geo.Or):
+        return all(is_equality_free(p) for p in phi.parts)
+    if isinstance(phi, geo.Exists):
+        return is_equality_free(phi.body)
+    raise TypeError(phi)
 
 
 def test_parse_gformula_leaves_no_cycle():
@@ -99,8 +114,14 @@ def test_generate_theory_sound_in_own_model():
     for name in ("selfLoop", "diamond", "cycleEntry"):
         G = catalog(name)
         th = geo.generate_theory(G)
-        assert len(th) == len(th.all_sequents())
-        for s in th.all_sequents():
+        # six structural sequents, then per system one existence sequent
+        # per edge, one completeness sequent per state, the negative
+        # sequents, and domain closure
+        negative = sum((t not in reachable_from(G, s))
+                       + (not path_equivalent(G, s, t))
+                       for s in range(G.n) for t in range(G.n))
+        assert len(th) == 6 + len(G.transitions) + G.n + negative + 1
+        for s in th:
             assert geo.eval_sequent(G, s), (name, str(s))
 
 
@@ -110,7 +131,7 @@ def test_theory_separates_systems():
     # (the two systems share the state name "a", so constants stay meaningful)
     A, B = catalog("selfLoop"), catalog("hubSpokes")
     thA = geo.generate_theory(A)
-    assert any(not geo.eval_sequent(B, s) for s in thA.all_sequents())
+    assert any(not geo.eval_sequent(B, s) for s in thA)
 
 
 def test_separation_certificate():
@@ -131,7 +152,7 @@ def test_standard_translation():
     phi = parse_formula("<*><*>T")
     st = geo.standard_translation(phi)
     assert geo.free_vars(st) == {"x"}
-    assert geo.is_equality_free(st)
+    assert is_equality_free(st)
     # truth of the translation matches modal satisfaction, per state
     from spectrumlab.hml import satisfies
     for name, G in unlabeled_catalog_systems().items():
@@ -150,8 +171,8 @@ def test_standard_translation_leaves_no_cycle():
 
 
 def test_equality_freedom():
-    assert not geo.is_equality_free(geo.named_sigma("det").consequent)
-    assert geo.is_equality_free(geo.named_sigma("conf").consequent)
+    assert not is_equality_free(geo.named_sigma("det").consequent)
+    assert is_equality_free(geo.named_sigma("conf").consequent)
 
 
 def test_bounded_invariance_suites():

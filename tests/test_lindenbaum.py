@@ -27,11 +27,11 @@ def model_count_oracle(G):
 
 def test_theory_shape():
     G = catalog("Q")
-    th = lb.labeled_theory(G)
-    assert len(th.atoms) == 3
-    assert len(th.totality_clauses) == 2  # q0 and q1 are non-terminal
-    n_cells = G.n * G.n * len(G.alphabet)
-    assert len(th.atoms) + len(th.exclusion_forced) == n_cells
+    atoms, clauses = lb.labeled_theory(G)
+    assert len(atoms) == 3
+    assert len(clauses) == 2  # q0 and q1 are non-terminal
+    # the free atoms are the present edges; every other cell is forced false
+    assert set(atoms) == {(a, s, t) for (s, a, t) in G.transitions}
 
 
 def test_model_counts_match_oracle():
@@ -49,7 +49,7 @@ def test_lindenbaum_lattice_laws():
         assert L.is_distributive()
         assert L.bottom == frozenset()
         assert L.top == frozenset(lind.models)
-        for at, ext in lind.extensions.items():
+        for ext in _atom_extensions(lind, catalog(name)).values():
             assert ext in set(L.elements)
 
 
@@ -63,14 +63,20 @@ def test_lindenbaum_sizes():
 # form over model indices: the oracle for the Birkhoff construction.
 
 
-def _closure_of_extensions(lind):
+def _atom_extensions(lind, G):
+    """Each free atom of G's theory -> the models containing it."""
+    atoms, _ = lb.labeled_theory(G)
+    return {at: frozenset(m for m in lind.models if at in m) for at in atoms}
+
+
+def _closure_of_extensions(lind, G):
     index = {m: i for i, m in enumerate(lind.models)}
 
     def mask(ms):
         return sum(1 << index[m] for m in ms)
 
     current = {0, mask(lind.models)}
-    current |= {mask(ext) for ext in lind.extensions.values()}
+    current |= {mask(ext) for ext in _atom_extensions(lind, G).values()}
     while True:
         new = {v for a, b in itertools.combinations(current, 2)
                for v in (a & b, a | b)} - current
@@ -98,7 +104,7 @@ def test_up_sets_match_closure_of_extensions():
         lind = lb.lindenbaum(G)
         L = lind.lattice
         assert len(set(L.elements)) == len(L.elements), G
-        assert set(L.elements) == _closure_of_extensions(lind), G
+        assert set(L.elements) == _closure_of_extensions(lind, G), G
         assert [len(x) for x in L.elements] == sorted(map(len, L.elements))
         sizes.add(len(L.elements))
     assert {2, 5, 19, 48, 1608} <= sizes
@@ -317,12 +323,11 @@ def test_kernel_dichotomy_agrees_on_seeded_branching_systems():
 def _models_by_valuation_sets(theory):
     """enumerate_models as it was before it tested clauses as masks: each
     valuation built as a frozenset, clauses tested by membership."""
-    free = theory.atoms
+    free, clauses = theory
     models = []
     for mask in range(1 << len(free)):
         val = frozenset(at for i, at in enumerate(free) if mask >> i & 1)
-        if all(any(at in val for at in clause)
-               for clause in theory.totality_clauses):
+        if all(any(at in val for at in clause) for clause in clauses):
             models.append(val)
     return sorted(models, key=lambda m: (len(m), sorted(m)))
 
@@ -340,10 +345,11 @@ def test_clause_masks_match_valuation_sets():
         assert models == _models_by_valuation_sets(theory), G
         counts.add(len(models))
     assert {1, 3, 7, 9, 21} <= counts and max(counts) > 100
-    # a clause naming a forced atom is satisfied only by its free atoms
+    # a clause naming a forced atom (r, not free) is satisfied only by its
+    # free atoms
     p, q, r = ("a", 0, 1), ("b", 0, 0), ("a", 1, 0)
     for clauses, count in ((((p, r),), 2), (((r,), (p, q)), 0)):
-        theory = lb.PropTheory((p, q), (r,), clauses)
+        theory = ((p, q), clauses)
         assert lb.enumerate_models(theory) == \
             _models_by_valuation_sets(theory)
         assert len(lb.enumerate_models(theory)) == count
