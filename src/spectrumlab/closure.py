@@ -86,7 +86,10 @@ def heyting_implication_presheaf(G, v, phi, psi):
 # of realizing phi by added edges (to existing or fresh states).  A
 # realization is a pair (n, edges), edge (s, a, t) being bit offsets[s, a] + t
 # of edges.  Its answer depends only on the pair, so a partition's distinct
-# pairs are collected in a set, and a T/&/<> evaluator decides psi on each.
+# pairs are collected in a set, and psi is decided on each.  A call compiles
+# psi and each top-level conjunct of phi once, to tuples of (rows, body), one
+# per top-level diamond, rows[s] being offsets[s, label]: realizing and
+# evaluating walk these with no dispatch on node types.
 #
 # Realizing only ever adds edges and fresh states, numbered after the old
 # ones, so a pair embeds in every pair realized from it with the same state
@@ -109,47 +112,53 @@ def _partitions(items):
         yield [[head]] + part
 
 
-def _realize(reals, s, phi, offsets, max_states, spent):
-    """The distinct pairs made from each (n, edges) in reals by adding edges,
-    and fresh states up to max_states, so that phi holds at s.  spent[0]
-    adds up the pairs each diamond returns, against MAX_REALIZATIONS."""
-    if isinstance(phi, Top):
-        return reals
+def _compile(phi, rows):
+    """phi (T/&/<>) as a tuple of (rows[label], compiled body), one per
+    top-level diamond, left to right: T is (), And is concatenation."""
     if isinstance(phi, And):
-        left = _realize(reals, s, phi.left, offsets, max_states, spent)
-        return _realize(left, s, phi.right, offsets, max_states, spent)
-    row = offsets[s, phi.label]
-    groups = [set() for _ in range(max_states)]
-    for n, edges in reals:
-        for t in range(n):
-            groups[t].add((n, edges | 1 << row + t))
-        # a fresh state n: each diamond adds at most one, so n < max_states
-        groups[n].add((n + 1, edges | 1 << row + n))
-    out = set()
-    for t, group in enumerate(groups):
-        if group:
-            out |= _realize(group, t, phi.body, offsets, max_states, spent)
-    spent[0] += len(out)
-    if spent[0] > MAX_REALIZATIONS:
-        raise BudgetExceeded("exhaustive oracle", spent[0], "realizations",
-                             MAX_REALIZATIONS)
-    return out
+        return _compile(phi.left, rows) + _compile(phi.right, rows)
+    if isinstance(phi, Diamond):
+        return ((rows[phi.label], _compile(phi.body, rows)),)
+    return ()
 
 
-def _holds_in(n, edges, s, psi, offsets):
-    """psi (in the T/&/<> fragment) at state s of the pair (n, edges)."""
-    if isinstance(psi, Top):
-        return True
-    if isinstance(psi, And):
-        return (_holds_in(n, edges, s, psi.left, offsets)
-                and _holds_in(n, edges, s, psi.right, offsets))
-    succ = edges >> offsets[s, psi.label] & (1 << n) - 1
-    while succ:  # the label's successors of s, lowest first
-        low = succ & -succ
-        if _holds_in(n, edges, low.bit_length() - 1, psi.body, offsets):
-            return True
-        succ ^= low
-    return False
+def _realize(reals, s, phi, max_states, spent):
+    """The distinct pairs made from each (n, edges) in reals by adding edges,
+    and fresh states up to max_states, so that the compiled phi holds at s.
+    spent[0] adds up the pairs each diamond returns, against the budget."""
+    for rows, body in phi:
+        row, out = rows[s], set()
+        # by target, except that with body T every group is out itself
+        groups = ([set() for _ in range(max_states)] if body
+                  else [out] * max_states)
+        for n, edges in reals:
+            for t in range(n):
+                groups[t].add((n, edges | 1 << row + t))
+            # a fresh state n: each diamond adds at most one, so n < max_states
+            groups[n].add((n + 1, edges | 1 << row + n))
+        for t, group in enumerate(groups):
+            if body and group:
+                out |= _realize(group, t, body, max_states, spent)
+        spent[0] += len(out)
+        if spent[0] > MAX_REALIZATIONS:
+            raise BudgetExceeded("exhaustive oracle", spent[0],
+                                 "realizations", MAX_REALIZATIONS)
+        reals = out
+    return reals
+
+
+def _holds_in(edges, s, psi, full):
+    """The compiled psi at state s of a pair with edges and state mask full."""
+    for rows, body in psi:
+        succ = edges >> rows[s] & full
+        while succ and body:  # the label's successors of s, lowest first
+            low = succ & -succ
+            if _holds_in(edges, low.bit_length() - 1, body, full):
+                break
+            succ ^= low
+        if not succ:
+            return False
+    return True
 
 
 def brute_force_implication(G, v, phi, psi, size_bound):
@@ -166,20 +175,23 @@ def brute_force_implication(G, v, phi, psi, size_bound):
     # every realization shares G's alphabet, which psi was checked against
     pairs = itertools.product(range(max_states), G.alphabet)
     offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
-    spent = [0]
+    rows = {a: tuple(offsets[s, a] for s in range(max_states))
+            for a in G.alphabet}
+    goal, spent = _compile(psi, rows), [0]
+    conjuncts = [_compile(c, rows) for c in _conjuncts(phi)]
     for blocks in _partitions(list(range(G.n))):
         if len(blocks) > size_bound:
             continue
         cls = {s: i for i, block in enumerate(blocks) for s in block}
-        base = sum({1 << offsets[cls[s], a] + cls[t]
+        base = sum({1 << rows[a][cls[s]] + cls[t]
                     for (s, a, t) in G.transitions})
-        reals = {(len(blocks), base)}
-        for conjunct in _conjuncts(phi):
+        u, reals = cls[v], {(len(blocks), base)}
+        for conjunct in conjuncts:
             reals = _realize({(n, edges) for n, edges in reals
-                              if not _holds_in(n, edges, cls[v], psi, offsets)},
-                             cls[v], conjunct, offsets, max_states, spent)
+                              if not _holds_in(edges, u, goal, (1 << n) - 1)},
+                             u, conjunct, max_states, spent)
         for n, edges in reals:
-            if not _holds_in(n, edges, cls[v], psi, offsets):
+            if not _holds_in(edges, u, goal, (1 << n) - 1):
                 return False
     return True
 

@@ -322,9 +322,9 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
     """Deterministic normalized formula family of depth <= max_depth.
 
     max_conj bounds the size of conjunction sets under a modality; pass None
-    for all subsets (complete for the depth <= 2 equivalence oracle).
-    The ready and full families list the inabilities !<a>T, of depth 1,
-    at every max_depth, 0 included.
+    for all subsets (complete for the depth <= 2 equivalence oracle).  The
+    ready and full families list the inabilities !<a>T, of depth 1, at every
+    max_depth, 0 included.  A smaller max_depth gives a prefix of the family.
     """
     kinds = _fragment_kinds(fragment)
     alphabet = tuple(sorted(alphabet))

@@ -440,16 +440,20 @@ def criterion_12():
     rows.append(_eqrow("unraveling diamond to depth 2 has 5 vertices",
                        tree.n, 5))
     rows.append(_eqrow("vertex names", names, sorted(["ε", "b", "c", "bd", "cd"])))
-    preserve = True
-    shapes = True
+    preserve = shapes = True
+    families = {}  # by alphabet: depths 0 to 3, each a prefix of depth 3's
     for name in sorted(catalog_systems()):
-        G = catalog(name)
-        for d in range(0, 4):
+        G, on_g = catalog(name), {}
+        if G.alphabet not in families:
+            deepest = hml.canonical_formulas(G.alphabet, 3, "diamondOnly")
+            families[G.alphabet] = [deepest[:len(hml.canonical_formulas(
+                G.alphabet, d, "diamondOnly"))] for d in range(3)] + [deepest]
+        for d, family in enumerate(families[G.alphabet]):
             T, _ = hml.tree_unravel(G, G.root, d)
             if not is_rooted_tree(T):
                 shapes = False
-            on_g, on_t = {}, {}
-            for phi in hml.canonical_formulas(G.alphabet, d, "diamondOnly"):
+            on_t = {}
+            for phi in family:
                 if (hml.extension(G, phi, on_g) >> G.root & 1
                         != hml.extension(T, phi, on_t) & 1):
                     preserve = False

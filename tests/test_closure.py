@@ -149,6 +149,88 @@ def _brute_force_by_systems(G, v, phi, psi, size_bound):
     return True
 
 
+# The oracle before it compiled its formulas: _realize and _holds_in
+# dispatch on node types, per realization.  Copied as it was, reading the
+# budget and helpers from closure so that a patched budget reaches both.
+
+
+def oracle_realize(reals, s, phi, offsets, max_states, spent):
+    """The distinct pairs made from each (n, edges) in reals by adding edges,
+    and fresh states up to max_states, so that phi holds at s.  spent[0]
+    adds up the pairs each diamond returns, against MAX_REALIZATIONS."""
+    if isinstance(phi, Top):
+        return reals
+    if isinstance(phi, And):
+        left = oracle_realize(reals, s, phi.left, offsets, max_states, spent)
+        return oracle_realize(left, s, phi.right, offsets, max_states, spent)
+    row = offsets[s, phi.label]
+    groups = [set() for _ in range(max_states)]
+    for n, edges in reals:
+        for t in range(n):
+            groups[t].add((n, edges | 1 << row + t))
+        # a fresh state n: each diamond adds at most one, so n < max_states
+        groups[n].add((n + 1, edges | 1 << row + n))
+    out = set()
+    for t, group in enumerate(groups):
+        if group:
+            out |= oracle_realize(group, t, phi.body, offsets, max_states,
+                                  spent)
+    spent[0] += len(out)
+    if spent[0] > cl.MAX_REALIZATIONS:
+        raise BudgetExceeded("exhaustive oracle", spent[0], "realizations",
+                             cl.MAX_REALIZATIONS)
+    return out
+
+
+def oracle_holds_in(n, edges, s, psi, offsets):
+    """psi (in the T/&/<> fragment) at state s of the pair (n, edges)."""
+    if isinstance(psi, Top):
+        return True
+    if isinstance(psi, And):
+        return (oracle_holds_in(n, edges, s, psi.left, offsets)
+                and oracle_holds_in(n, edges, s, psi.right, offsets))
+    succ = edges >> offsets[s, psi.label] & (1 << n) - 1
+    while succ:  # the label's successors of s, lowest first
+        low = succ & -succ
+        if oracle_holds_in(n, edges, low.bit_length() - 1, psi.body, offsets):
+            return True
+        succ ^= low
+    return False
+
+
+def oracle_brute_force_implication(G, v, phi, psi, size_bound):
+    """Necessary bounded check of the universally quantified implication;
+    independent of the free-extension construction."""
+    _require_fragment(phi, G)
+    _require_fragment(psi, G)
+    if size_bound < 1:
+        raise ValueError("size bound must be at least 1, not %d" % size_bound)
+    if G.n > MAX_BRUTE_STATES:
+        raise BudgetExceeded("exhaustive oracle", G.n, "base states",
+                             MAX_BRUTE_STATES)
+    max_states = size_bound + diamond_count(phi)
+    # every realization shares G's alphabet, which psi was checked against
+    pairs = itertools.product(range(max_states), G.alphabet)
+    offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
+    spent = [0]
+    for blocks in _partitions(list(range(G.n))):
+        if len(blocks) > size_bound:
+            continue
+        cls = {s: i for i, block in enumerate(blocks) for s in block}
+        base = sum({1 << offsets[cls[s], a] + cls[t]
+                    for (s, a, t) in G.transitions})
+        reals = {(len(blocks), base)}
+        for conjunct in cl._conjuncts(phi):
+            reals = oracle_realize(
+                {(n, edges) for n, edges in reals
+                 if not oracle_holds_in(n, edges, cls[v], psi, offsets)},
+                cls[v], conjunct, offsets, max_states, spent)
+        for n, edges in reals:
+            if not oracle_holds_in(n, edges, cls[v], psi, offsets):
+                return False
+    return True
+
+
 # The oracle before it dropped pairs at which psi already holds: every
 # realization of phi on every quotient within the size bound is built.
 
@@ -169,9 +251,9 @@ def _brute_force_unpruned(G, v, phi, psi, size_bound):
         cls = {s: i for i, block in enumerate(blocks) for s in block}
         base = sum({1 << offsets[cls[s], a] + cls[t]
                     for (s, a, t) in G.transitions})
-        for n, edges in cl._realize({(len(blocks), base)}, cls[v], phi,
-                                    offsets, max_states, spent):
-            if not cl._holds_in(n, edges, cls[v], psi, offsets):
+        for n, edges in oracle_realize({(len(blocks), base)}, cls[v], phi,
+                                       offsets, max_states, spent):
+            if not oracle_holds_in(n, edges, cls[v], psi, offsets):
                 return False
     return True
 
@@ -228,6 +310,51 @@ def test_pruned_oracle_matches_unpruned(monkeypatch):
             enumerated += calls.count(1)
     assert verdicts == {True, False}
     assert skipped > 0 and enumerated > 0
+
+
+def _with_diamonds(rng, diamonds):
+    """A T/&/<> formula over {a, b} with exactly this many diamonds."""
+    if diamonds == 0:
+        return TOP
+    if diamonds >= 2 and rng.random() < 0.4:
+        k = rng.randint(1, diamonds - 1)
+        return And(_with_diamonds(rng, k), _with_diamonds(rng, diamonds - k))
+    return Diamond(rng.choice("ab"), _with_diamonds(rng, diamonds - 1))
+
+
+def _outcome(oracle, *args):
+    """The verdict, or the text of the exhausted budget."""
+    try:
+        return oracle(*args)
+    except BudgetExceeded as exc:
+        return str(exc)
+
+
+def test_compiled_oracle_matches_the_replaced_oracle(monkeypatch):
+    """Same verdict or same budget message as the oracle that dispatched on
+    node types, on criterion 11's seeded cases, the regime table, and cases
+    shaped like the benchmark's (3 states, 4 diamonds), at three size
+    bounds and three realization budgets."""
+    cases = _criterion_11_cases(random.Random(20261021), 300)
+    cases += [(G, v, P(p), P(q)) for (p, q, _) in report._REGIME_TABLE
+              for G in (catalog("Q"), catalog("P_abc")) for v in range(G.n)]
+    rng = random.Random(20261022)
+    for _ in range(64):
+        trans = frozenset((s, a, t) for s in range(3) for a in "ab"
+                          for t in range(3) if rng.random() < 0.3)
+        cases.append((FinLTS(3, ("a", "b"), 0, trans), rng.randrange(3),
+                      _with_diamonds(rng, 4), _random_formula(rng, 2)))
+    outcomes = []
+    for limit in (cl.MAX_REALIZATIONS, 40, 400):
+        monkeypatch.setattr(cl, "MAX_REALIZATIONS", limit)
+        for G, v, phi, psi in cases:
+            for size_bound in (G.n + 2, G.n, 1):
+                args = (G, v, phi, psi, size_bound)
+                want = _outcome(oracle_brute_force_implication, *args)
+                assert _outcome(cl.brute_force_implication, *args) == want
+                outcomes.append(want)
+    assert {True, False} <= set(outcomes)
+    assert any(isinstance(o, str) for o in outcomes)
 
 
 def test_oracle_never_builds_the_free_extension(monkeypatch):
@@ -288,7 +415,7 @@ def test_oracle_matches_system_oracle():
     of psi on each, against the FinLTS oracle.  At size bound |G| the state
     cap binds on the discrete partition; at 1 the partition filter drops
     all others.  Realizations are encoded with a shuffled edge layout, so
-    only _realize's offsets contract is relied on."""
+    only the offsets contract, through the compiled rows, is relied on."""
     cases = [(G, v, P(p), P(q)) for (p, q, _) in report._REGIME_TABLE
              for G in (catalog("Q"), catalog("P_abc")) for v in range(G.n)]
     rng = random.Random(20260311)
@@ -305,20 +432,23 @@ def test_oracle_matches_system_oracle():
             pairs = list(itertools.product(range(max_states), G.alphabet))
             rng.shuffle(pairs)
             offsets = {pair: i * max_states for i, pair in enumerate(pairs)}
+            rows = {a: tuple(offsets[s, a] for s in range(max_states))
+                    for a in G.alphabet}
+            goal = cl._compile(psi, rows)
             for blocks in _partitions(list(range(G.n))):
                 H0, cls = _quotient_by(G, blocks)
                 base = sum(1 << offsets[s, a] + t
                            for (s, a, t) in H0.transitions)
                 got = {(n, _decode(edges, offsets, max_states)): edges
                        for n, edges in cl._realize({(H0.n, base)}, cls[v],
-                                                   phi, offsets, max_states,
-                                                   [0])}
+                                                   cl._compile(phi, rows),
+                                                   max_states, [0])}
                 systems = list(_realizations(H0, cls[v], phi, max_states))
                 assert set(got) == {(H.n, H.transitions) for H in systems}
                 repeats += len(systems) - len(got)
                 for H in systems:
                     edges = got[H.n, H.transitions]
-                    assert cl._holds_in(H.n, edges, cls[v], psi, offsets) \
+                    assert cl._holds_in(edges, cls[v], goal, (1 << H.n) - 1) \
                         == holds_by_isinstance(H, cls[v], psi)
     assert verdicts == {True, False}
     assert repeats > 0
@@ -370,8 +500,8 @@ def test_criterion_11_stays_far_below_the_realization_budget(monkeypatch):
     spent_max = [0]
     realize = cl._realize
 
-    def recording(reals, s, phi, offsets, max_states, spent):
-        out = realize(reals, s, phi, offsets, max_states, spent)
+    def recording(reals, s, phi, max_states, spent):
+        out = realize(reals, s, phi, max_states, spent)
         spent_max[0] = max(spent_max[0], spent[0])
         return out
 

@@ -145,6 +145,27 @@ def test_canonical_family_is_normalized():
     assert any(hml._is_inability(phi) for phi in ready)
 
 
+def test_shallower_families_are_prefixes_of_deeper_ones():
+    """Criterion 12 reads each depth-d family as the first entries of the
+    depth-3 one.  Families too large to build quickly are checked up to
+    depth 2: full over three labels or with unbounded conjunctions, and
+    unbounded conjunctions over two or more labels."""
+    for fragment in hml.FRAGMENTS:
+        for alphabet in (("a",), ("a", "b"), ("a", "b", "c")):
+            for max_conj in (2, None):
+                full = fragment == "full"
+                large = (len(alphabet) == 3 and full if max_conj == 2
+                         else len(alphabet) > 1 or full)
+                deepest = 2 if large else 3
+                family = hml.canonical_formulas(alphabet, deepest, fragment,
+                                                max_conj)
+                for d in range(deepest):
+                    prefix = hml.canonical_formulas(alphabet, d, fragment,
+                                                    max_conj)
+                    assert family[:len(prefix)] == prefix, \
+                        (fragment, alphabet, max_conj, d)
+
+
 def test_oracle_agrees_with_fixpoint_decision():
     systems = [catalog(n) for n in ("P_abc", "Q", "R6", "U")]
     for M, N in itertools.combinations(systems, 2):
