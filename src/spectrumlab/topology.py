@@ -1,16 +1,17 @@
 """Covering predicates on the site of finite rooted systems.
 
-A morphism universe numbers its arrows: composition is a table of ints, and
-a sieve is a universe with an int mask over its arrow ids, whose `arrows`
-decode to homs; the axiom check builds pullback pairs and required masks
-once per leg.  True sieves are infinite families; every check here is a
-truncation of one, and verdicts carry a truncation flag when the base has
-cycles (bounded test depth cannot exhaust the probes of a cyclic base).
+A morphism universe numbers its arrows, shares its test trees with every
+universe of equal alphabet and bounds, and caches principal masks per arrow
+and required masks per (depth, branch).  A sieve is an int mask over one
+universe's arrow ids, and the axiom check decides once per distinct mask.
+True sieves are infinite families; every check here is a truncation of one,
+and verdicts carry a truncation flag when the base has cycles (bounded test
+depth cannot exhaust the probes of a cyclic base).
 """
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .lts import (BudgetExceeded, FinLTS, Homomorphism, enumerate_homs,
                   fan_lts, height, identity_hom, is_rooted_tree,
@@ -84,28 +85,34 @@ def _term_to_lts(term, alphabet):  # preorder numbering by a stack
     return FinLTS(n, alphabet, 0, frozenset(trans))
 
 
-def test_objects(alphabet, bounds):
-    """All rooted labeled trees within the bounds, smallest first."""
-    terms = _tree_terms(tuple(alphabet), bounds.max_test_depth,
-                        bounds.max_test_size)
+@lru_cache(maxsize=None)
+def _test_objects(alphabet, bounds):
+    terms = _tree_terms(alphabet, bounds.max_test_depth, bounds.max_test_size)
     if len(terms) > MAX_TEST_OBJECTS:
         raise BudgetExceeded("test-object enumeration", len(terms), "trees",
                              MAX_TEST_OBJECTS)
-    return sorted((_term_to_lts(t, tuple(alphabet)) for t in terms),
-                  key=lambda T: (T.n, sorted(T.transitions)))
+    return tuple(sorted((_term_to_lts(t, alphabet) for t in terms),
+                        key=lambda T: (T.n, sorted(T.transitions))))
+
+
+def test_objects(alphabet, bounds):
+    """All rooted labeled trees within the bounds, smallest first: a fresh
+    list of the trees that every call with equal arguments shares."""
+    return list(_test_objects(tuple(alphabet), bounds))
 
 
 class MorphismUniverse:
     """Bounded hom universe over one base: bounded test trees plus the base.
     `_run(A, B)` numbers hom(A, B) on first use as a run of consecutive arrow
-    ids; composites and class masks are tabled here too."""
+    ids; the ids into B, principal masks and required masks are cached."""
 
     def __init__(self, base, bounds=SiteBounds()):
         self.base, self.bounds = base, bounds
         self.test_objects = test_objects(base.alphabet, bounds)
         self.objects = self.test_objects + (
             [] if base in self.test_objects else [base])
-        self._runs, self._arrows, self._ids, self._tables = {}, [], {}, {}
+        self._runs, self._arrows, self._ids, self._into = {}, [], {}, {}
+        self._principal, self._required = {}, {}
 
     def _run(self, A, B):
         if (A, B) not in self._runs:
@@ -116,11 +123,6 @@ class MorphismUniverse:
             self._ids.update(zip(homs, run))
         return self._runs[A, B]
 
-    def _table(self, key, fill):
-        if key not in self._tables:
-            self._tables[key] = fill()
-        return self._tables[key]
-
     def homs(self, A, B):
         return tuple(self._arrows[i] for i in self._run(A, B))
 
@@ -128,7 +130,10 @@ class MorphismUniverse:
         return [h for A in self.objects for h in self.homs(A, B)]
 
     def ids_into(self, B):
-        return [i for A in self.objects for i in self._run(A, B)]
+        if B not in self._into:
+            self._into[B] = tuple(i for A in self.objects
+                                  for i in self._run(A, B))
+        return self._into[B]
 
     def id_of(self, h):
         """The id of a hom, or None when h is not one."""
@@ -137,8 +142,16 @@ class MorphismUniverse:
 
     def compose(self, f, g):
         """The id of f o g for arrow ids f and g."""
-        return self._table(("compose", f, g), lambda: self.id_of(
-            self._arrows[f].compose(self._arrows[g])))
+        return self.id_of(self._arrows[f].compose(self._arrows[g]))
+
+    def principal(self, g):
+        """The mask of the sieve arrow g generates: g and g o k for each k
+        into g's source, closed as (g o k) o k' = g o (k o k')."""
+        if g not in self._principal:
+            self._principal[g] = reduce(int.__or__, (
+                1 << self.compose(g, k)
+                for k in self.ids_into(self._arrows[g].source)), 1 << g)
+        return self._principal[g]
 
     def decode(self, mask):
         """The arrows of a mask, in id order."""
@@ -147,9 +160,11 @@ class MorphismUniverse:
 
     def required(self, C):
         """Masks of the homs into the base from each C-accepted test object."""
-        return self._table(("required", C), lambda: [
-            sum(1 << i for i in self._run(T, self.base))
-            for T in self.test_objects if C.accepts(T)])
+        key = (C.max_depth, C.max_branch)  # all that C.accepts reads of C
+        if key not in self._required:
+            self._required[key] = [sum(1 << i for i in self._run(T, self.base))
+                                   for T in self.test_objects if C.accepts(T)]
+        return self._required[key]
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +190,14 @@ def _mask(S, universe):
 
 
 def generate_sieve(universe, generators):
-    """Close the generators under precomposition with every enumerated map.
-    One pass suffices: (g o k) o k' = g o (k o k'), and k o k' is itself an
-    enumerated hom into the domain of g."""
+    """Close the generators under precomposition with every enumerated map:
+    the OR of their principal masks."""
     mask = 0
     for h in generators:
         g = universe.id_of(h)
         if g is None or h.target != universe.base:
             raise ValueError("generator is not an arrow into the base")
-        mask |= 1 << g
-        for k in universe.ids_into(h.source):
-            mask |= 1 << universe.compose(g, k)
+        mask |= universe.principal(g)
     return Sieve(universe, mask)
 
 
@@ -254,21 +266,24 @@ def _covers(required, mask, naive):
 
 
 def _sample_sieves(universe):
-    pool = sorted(universe.arrows_into(universe.base),
-                  key=lambda h: (h.source.n, sorted(h.source.transitions),
-                                 h.mapping))[:POOL_CAP]
+    arrows = universe._arrows
+    pool = sorted(universe.ids_into(universe.base), key=lambda i: (
+        arrows[i].source.n, sorted(arrows[i].source.transitions),
+        arrows[i].mapping))[:POOL_CAP]
     gen_sets = itertools.chain.from_iterable(
         itertools.combinations(pool, k) for k in range(0, 4))
     return [maximal_sieve(universe)] + [
-        generate_sieve(universe, gens)
+        Sieve(universe, reduce(int.__or__, map(universe.principal, gens), 0))
         for gens in itertools.islice(gen_sets, SIEVE_CAP)]
 
 
 def grothendieck_axiom_check(C, sample, bounds=SiteBounds(), naive=False):
     """Property-check maximality, stability, and transitivity of the covering
     predicate over sieves generated by <= 3 arrows on each sample base.
-    Pullback pairs and required masks are built once per leg f, and
-    whether f*(R) covers is decided once per (R, f), by int work only."""
+    Pullback pairs and required masks are built once per leg f; along
+    which legs a sieve pulls back to a covering one, whether it covers and
+    which inner sieves it fails transitivity with are decided once per
+    distinct sieve mask, by int work only."""
     @lru_cache(maxsize=None)
     def universe(G):
         return MorphismUniverse(G, bounds)
@@ -280,15 +295,18 @@ def grothendieck_axiom_check(C, sample, bounds=SiteBounds(), naive=False):
         legs = [(f, U._arrows[f]) for f in U.ids_into(G)]
         tables = [(f, _pull_pairs(U, h, universe(h.source)),
                    universe(h.source).required(C)) for f, h in legs]
-        # along[mask of R]: the f along which R pulls back to a covering sieve
-        along = {R.mask: sum(1 << f for f, pairs, req in tables if _covers(
-            req, sum(g for g, fg in pairs if R.mask & fg), naive))
-            for R in sieves}
+        # per distinct mask m: the legs f along which m pulls back to a cover
+        along = {m: sum(1 << f for f, pairs, req in tables if _covers(
+            req, sum(g for g, fg in pairs if m & fg), naive))
+            for m in {S.mask for S in sieves}}
         required = U.required(C)
-        covering = [S for S in sieves if _covers(required, S.mask, naive)]
-        covered = {S.mask for S in covering}
-        if sieves[0] not in covering:
+        covered = {m for m in along if _covers(required, m, naive)}
+        # per covered outer mask: the uncovered inner masks it pulls back to
+        inner = {m: {r for r in along if not m & ~along[r]} - covered
+                 for m in covered}
+        if sieves[0].mask not in covered:
             failures["maximality"].append({"base": G})
+        covering = [S for S in sieves if S.mask in covered]
         for S in covering:
             bad = [h for f, h in legs if not along[S.mask] >> f & 1]
             if bad:
@@ -296,8 +314,7 @@ def grothendieck_axiom_check(C, sample, bounds=SiteBounds(), naive=False):
                     {"base": G, "sieve": S, "along": bad[0]})
         failures["transitivity"] += [
             {"base": G, "outer": S, "inner": R} for S in covering
-            for R in sieves
-            if not S.mask & ~along[R.mask] and R.mask not in covered]
+            if inner[S.mask] for R in sieves if R.mask in inner[S.mask]]
     return dict({ax: not found for ax, found in failures.items()},
                 **{"class": C.name, "naive": naive, "failures": failures})
 

@@ -281,6 +281,59 @@ def test_masked_sieves_match_frozenset_oracle():
                     ("pullback empty", True), ("pullback empty", False)}
 
 
+def test_principal_masks_match_oracle_generated_sieves():
+    """Every arrow into every object, from every object and from the trees
+    one level past the bounds, has as principal mask the oracle's sieve on
+    it alone."""
+    sample = [path_digraph(1), path_digraph(2), fan(2), catalog("twoCycle")]
+    rng = random.Random(29)
+    cases = [(G, tp.SiteBounds(2, k)) for G in sample for k in (2, 4)] + [
+        (_renumbered(G, rng), tp.SiteBounds(2, 2))
+        for _ in range(2) for G in sample]
+    checked = 0
+    for G, bounds in cases:
+        U = tp.MorphismUniverse(G, bounds)
+        beyond = [T for T in tp.test_objects(G.alphabet, tp.SiteBounds(
+            bounds.max_test_depth + 1, bounds.max_test_size + 1))
+            if T not in U.objects]
+        for B in U.objects:
+            for A in U.objects + beyond:
+                for h in enumerate_homs(A, B):
+                    got = set(U.decode(U.principal(U.id_of(h))))
+                    assert got == oracle_generate_sieve(U, [h]).arrows
+                    checked += A in beyond
+    assert checked
+
+
+def test_generate_sieve_rejects_arrows_not_into_the_base():
+    F, P1 = fan_lts("a", "a"), trace_lts("a")
+    U = tp.MorphismUniverse(F, BOUNDS)
+    other = tp.MorphismUniverse(fan_lts("ab", "ac"), BOUNDS)
+    for h in (identity_hom(P1),  # an arrow of U into a test object
+              other.arrows_into(other.base)[-1],  # into another base
+              tp.Homomorphism(P1, F, (0, 0))):  # not a hom at all
+        with pytest.raises(ValueError):
+            tp.generate_sieve(U, [h])
+    assert tp.generate_sieve(U, [tp.Homomorphism(P1, F, (0, 1))]).arrows
+
+
+def test_test_objects_share_trees_between_calls_and_universes():
+    first = tp.test_objects(("a", "b"), BOUNDS)
+    second = tp.test_objects(["a", "b"], BOUNDS)
+    assert first is not second and first == second
+    assert all(S is T for S, T in zip(first, second))
+    U = tp.MorphismUniverse(fan_lts("a", "b"), BOUNDS)
+    trees = list(U.test_objects)
+    first.clear()
+    U.test_objects.reverse()
+    V = tp.MorphismUniverse(fan_lts("a", "b"), BOUNDS)
+    assert V.test_objects == second == trees
+    assert all(S is T for S, T in zip(V.test_objects, trees))
+    tp._test_objects.cache_clear()  # as the benchmark clears it per pass
+    fresh = tp.test_objects(("a", "b"), BOUNDS)
+    assert fresh == second and fresh[-1] is not second[-1]
+
+
 def oracle_axiom_check(C, sample, bounds, naive=False, covers_fn=None):
     """The per-pullback axiom loop over the oracle's frozenset sieves, for
     `covers_fn` over arrow sets (by default the class's or the naive one)."""
