@@ -91,7 +91,7 @@ def cmd_equiv(args):
         payload["depth2_oracle_agrees"] = (d2 == oracle)
         lines.append("depth-2: %s (formula oracle agrees: %s)"
                      % ("yes" if d2 else "no", d2 == oracle))
-        verdict = payload[_LEVEL_ALIASES.get("bisim")]
+        verdict = payload["bisimulation"]
     elif level.startswith("depth:"):
         try:
             d = int(level.split(":")[1])
@@ -514,8 +514,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, FileNotFoundError) as e:
-        # ValueError covers ParseError and every rejected precondition
+    except (UsageError, ValueError, OSError) as e:
+        # ValueError covers ParseError and every rejected precondition;
+        # OSError a system path that cannot be read (missing, a directory)
         print("error: %s" % e, file=sys.stderr)
         return 2
     except BudgetExceeded as e:

@@ -8,7 +8,7 @@ signature partition refinement on the disjoint union (Kanellakis & Smolka
 to union (Bonchi & Pous 2013), indexing checked pairs by lowest state."""
 
 from .lts import (BudgetExceeded, _image, enumerate_homs, enumeration_budget,
-                  iso_check, path_equivalent, quotient, reachable_from)
+                  iso_check, path_equivalent, quotient)
 
 LEVELS = ("enabledness", "trace", "failures", "simulation",
           "readySimulation", "bisimulation")
@@ -232,7 +232,8 @@ def bi_interpretation_search(M, N):
     """Like functional_bisim_search but with round trips only required to be
     mutually reachable with the identity."""
     def mutual(G, u, v):
-        return v in reachable_from(G, u) and u in reachable_from(G, v)
+        reach = G._reach[0]
+        return reach[u] >> v & 1 and reach[v] >> u & 1
     return _pair_search(M, N, mutual)
 
 

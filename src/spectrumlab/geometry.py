@@ -18,7 +18,7 @@ from .hml import (BOT, TOP, And, Bot, Top, _Language, _lex, _parse,
                   _parse_group, _peek, _take)
 from .equivalences import bisimilar, greatest_bisimulation
 from .lts import (BudgetExceeded, ParseError, catalog, enumeration_budget,
-                  path_equivalent, reachable_from, unlabeled_catalog_systems)
+                  path_equivalent, unlabeled_catalog_systems)
 
 PREDICATES = ("D", "G", "T")
 
@@ -140,7 +140,7 @@ def eval_formula(G, phi, env):
         if phi.pred == "D":
             return G.has_edge(u, v)
         if phi.pred == "G":
-            return v in reachable_from(G, u)
+            return bool(G._reach[0][u] >> v & 1)
         if phi.pred == "T":
             return path_equivalent(G, u, v)
         raise ValueError("unknown predicate %s" % phi.pred)
@@ -310,10 +310,10 @@ def generate_theory(M):
         theory.append(Sequent(("x",), Atom("D", c[s], x),
                               Or(tuple(Eq(x, c[t]) for t in succ))
                               if succ else BOT))
+    reach = M._reach[0]
     for s in range(M.n):
-        reach = reachable_from(M, s)
         for t in range(M.n):
-            if t not in reach:
+            if not reach[s] >> t & 1:
                 theory.append(Sequent((), Atom("G", c[s], c[t]), BOT))
             if not path_equivalent(M, s, t):
                 theory.append(Sequent((), Atom("T", c[s], c[t]), BOT))

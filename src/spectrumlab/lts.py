@@ -132,23 +132,22 @@ class FinLTS:
                 tuple(sorted(range(self.n), key=order.__getitem__)))
 
     @cached_property
-    def _reach_memo(self):
-        return {}
-
-    def _reach(self, s, back=False):
-        """Frozen reflexive-transitive reach set of s (co-reach with back),
-        computed once per state."""
-        memo = self._reach_memo
-        if (s, back) not in memo:
-            step = self.predecessors if back else self.successors
-            seen, frontier = {s}, [s]
-            while frontier:
-                for v in step(frontier.pop()):
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            memo[(s, back)] = frozenset(seen)
-        return memo[(s, back)]
+    def _reach(self):
+        """Per state two reflexive-transitive masks: the states it reaches,
+        then the states that reach it."""
+        steps = ([0] * self.n, [0] * self.n)
+        for (s, a, t) in self.transitions:
+            steps[0][s] |= 1 << t
+            steps[1][t] |= 1 << s
+        reach = ([], [])
+        for step, col in zip(steps, reach):
+            for s in range(self.n):
+                seen = frontier = 1 << s
+                while frontier:
+                    frontier = _image(step, frontier) & ~seen
+                    seen |= frontier
+                col.append(seen)
+        return reach
 
     def moves(self, s):
         """label -> sorted list of the a-successors of s, for each enabled
@@ -175,20 +174,10 @@ class FinLTS:
             return any(t in succ for succ in self._out[s].values())
         return (s, label, t) in self.transitions
 
-    def is_deterministic_state(self, s):
-        return all(len(succ) == 1 for succ in self._out[s].values())
-
-    def nondeterministic_states(self):
-        return [s for s in range(self.n) if not self.is_deterministic_state(s)]
-
     def has_cycle(self):
-        return self._cyclic
-
-    @cached_property
-    def _cyclic(self):
         """Some edge s -> t leads back: s is reachable from t."""
-        return any(s in self._reach(t)
-                   for s in range(self.n) for t in self.successors(s))
+        reach = self._reach[0]
+        return any(reach[t] >> s & 1 for (s, a, t) in self.transitions)
 
 
 def _image(col, mask):
@@ -220,8 +209,9 @@ def unlabeled(names, root_name, pairs):
 
 
 def reachable_from(G, s):
-    """Reflexive-transitive closure image of s under the unlabeled step."""
-    return set(G._reach(s))
+    """The states s reaches (reflexive-transitive), as a fresh set."""
+    mask = G._reach[0][s]
+    return {t for t in range(mask.bit_length()) if mask >> t & 1}
 
 
 def reachable_states(G):
@@ -229,16 +219,16 @@ def reachable_states(G):
 
 
 def path_equivalence_classes(G):
-    """Partition by (forward reach set, backward reach set)."""
+    """Partition by (forward reach mask, backward reach mask)."""
     classes = {}
-    for s in range(G.n):
-        classes.setdefault((G._reach(s), G._reach(s, back=True)), []).append(s)
+    for s, key in enumerate(zip(*G._reach)):
+        classes.setdefault(key, []).append(s)
     return sorted(classes.values())
 
 
 def path_equivalent(G, s, t):
-    return (G._reach(s) == G._reach(t)
-            and G._reach(s, back=True) == G._reach(t, back=True))
+    fwd, back = G._reach
+    return (fwd[s], back[s]) == (fwd[t], back[t])
 
 
 def quotient(G):
@@ -360,12 +350,6 @@ def is_rooted_tree(G):
             seen.update(succ)
             stack.extend(succ)
     return len(seen) == G.n
-
-
-def tree_depth(G):
-    if not is_rooted_tree(G):
-        raise ValueError("not a rooted tree")
-    return height(G, G.root)
 
 
 def height(G, s):

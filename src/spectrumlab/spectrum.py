@@ -154,9 +154,6 @@ class FiniteDistributiveLattice:
     def conegation(self, x):
         return self.elements[self.coheyting_n(self._top, self.index[x])]
 
-    def boundary(self, x):
-        return self.meet(x, self.pseudocomplement(x))
-
     def boolean_core(self):
         neg = [self.heyting_n(i, self._bot) for i in range(len(self.elements))]
         return [x for i, x in enumerate(self.elements) if neg[neg[i]] == i]

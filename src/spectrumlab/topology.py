@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache, reduce
 
 from .lts import (BudgetExceeded, FinLTS, Homomorphism, enumerate_homs,
                   fan_lts, height, identity_hom, is_rooted_tree,
-                  max_branching, trace_lts, tree_depth)
+                  max_branching, trace_lts)
 from .spectrum import INF, format_vector
 
 MAX_TEST_OBJECTS = 400

@@ -236,6 +236,14 @@ def test_errors_are_not_verdicts(tmp_path, argv, code):
         assert err == "error: expected an identifier, got '&'\n"
 
 
+def test_directory_as_system_is_a_usage_error(tmp_path):
+    # a path that exists but cannot be read as a file is not "property fails"
+    for argv in (["show", str(tmp_path)], ["equiv", str(tmp_path), "Q"]):
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_hom_budget_names_amount_and_limit(monkeypatch):
     # the hom search counts every state of the target per extended
     # assignment, so a set budget stops it where it always did

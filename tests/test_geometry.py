@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 from conftest import _cyclic_garbage_after
+from test_lts import _coreachable_to, _random_system, _reachable_from
 
 from spectrumlab import geometry as geo
 from spectrumlab.equivalences import bisimilar, greatest_bisimulation
@@ -123,6 +125,22 @@ def test_generate_theory_sound_in_own_model():
         assert len(th) == 6 + len(G.transitions) + G.n + negative + 1
         for s in th:
             assert geo.eval_sequent(G, s), (name, str(s))
+
+
+def test_reach_atoms_match_scanning_oracles():
+    # G and T at every state pair of seeded systems, against breadth-first
+    # reach and co-reach sets built from the transitions
+    rng = random.Random(20261020)
+    x, y = geo.Var("x"), geo.Var("y")
+    for _ in range(300):
+        G = _random_system(rng)
+        for s, t in itertools.product(range(G.n), repeat=2):
+            env = {"x": s, "y": t}
+            assert geo.eval_formula(G, geo.Atom("G", x, y), env) is (
+                t in _reachable_from(G, s))
+            assert geo.eval_formula(G, geo.Atom("T", x, y), env) is (
+                _reachable_from(G, s) == _reachable_from(G, t)
+                and _coreachable_to(G, s) == _coreachable_to(G, t))
 
 
 def test_theory_separates_systems():

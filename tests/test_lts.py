@@ -8,11 +8,12 @@ import pytest
 from spectrumlab import hml
 from spectrumlab.lts import (FinLTS, Homomorphism, ParseError, catalog,
                              catalog_names, catalog_systems, enumerate_homs,
-                             fan, fan_lts, from_json, identity_hom, iso_check,
-                             is_rooted_tree, make_lts, max_branching,
-                             parse_aut, path_digraph, path_equivalent,
+                             fan, fan_lts, from_json, height, identity_hom,
+                             iso_check, is_rooted_tree, make_lts,
+                             max_branching, parse_aut, path_digraph,
+                             path_equivalence_classes, path_equivalent,
                              quotient, reachable_from, to_aut, to_json,
-                             trace_lts, tree_depth, unlabeled)
+                             trace_lts, unlabeled)
 
 
 def test_validation():
@@ -36,7 +37,8 @@ def test_structure_queries():
     G = catalog("hubSpokes")
     assert G.successors(G.state("a")) == [G.state("b"), G.state("c")]
     assert G.enabled(G.state("a")) == frozenset({"*"})
-    assert G.nondeterministic_states() == [G.state("a")]
+    assert [s for s in range(G.n) if not _is_deterministic_state(G, s)] == [
+        G.state("a")]
     assert G.has_cycle()
     assert not catalog("P_abc").has_cycle()
 
@@ -88,8 +90,8 @@ def test_iso_check():
 
 
 def test_tree_predicates():
-    assert is_rooted_tree(trace_lts("abc"))
-    assert tree_depth(trace_lts("abc")) == 3
+    T = trace_lts("abc")
+    assert is_rooted_tree(T) and height(T, T.root) == 3
     assert max_branching(fan(3)) == 3
     assert not is_rooted_tree(catalog("selfLoop"))
 
@@ -145,7 +147,8 @@ def test_malformed_family_arguments_name_the_family():
 
 
 def test_parametric_shapes():
-    assert tree_depth(path_digraph(4)) == 4
+    P = path_digraph(4)
+    assert is_rooted_tree(P) and height(P, P.root) == 4
     w = trace_lts("abba")
     assert [w.name_of(i) for i in range(w.n)] == ["0", "1", "2", "3", "4"]
     f = fan_lts("ab", "ac")
@@ -312,9 +315,19 @@ def _coreachable_to(G, s):
 
 
 def coreachable_to(G, s):
-    """The memoised backward reach set, copied as reachable_from copies the
-    forward one."""
-    return set(G._reach(s, back=True))
+    """The co-reach column's mask of s, decoded into a fresh set as
+    reachable_from decodes the forward one."""
+    mask = G._reach[1][s]
+    return {u for u in range(G.n) if mask >> u & 1}
+
+
+def _quotient_by(G, classes):
+    """G with each class of states merged, numbered and named as listed."""
+    cls_of = {s: i for i, c in enumerate(classes) for s in c}
+    return FinLTS(len(classes), G.alphabet, cls_of[G.root],
+                  frozenset((cls_of[s], a, cls_of[t])
+                            for (s, a, t) in G.transitions),
+                  tuple("+".join(G.name_of(s) for s in c) for c in classes))
 
 
 def _random_system(rng):
@@ -339,7 +352,8 @@ def _random_system(rng):
 def test_index_matches_scanning_oracles():
     rng = random.Random(20261018)
     seen = {"tree": 0, "not tree": 0, "self-loop": 0, "no moves": 0,
-            "unreachable": 0, "nondeterministic": 0, "no edges": 0}
+            "unreachable": 0, "nondeterministic": 0, "no edges": 0,
+            "merged class": 0}
     for _ in range(600):
         G = _random_system(rng)
         labels = G.alphabet + ("z",)  # "z" is outside every alphabet
@@ -357,7 +371,8 @@ def test_index_matches_scanning_oracles():
             assert G.enabled(s) == _enabled(G, s)
             assert type(G.enabled(s)) is frozenset
             assert G.enabled(s) is G.enabled(s)  # read, not built, per call
-            assert G.is_deterministic_state(s) == _is_deterministic_state(G, s)
+            assert _is_deterministic_state(G, s) == all(
+                len(succ) == 1 for succ in G.moves(s).values())
             for t in range(G.n):
                 assert G.has_edge(s, t) == _has_edge(G, s, t)
                 for a in labels:
@@ -371,8 +386,18 @@ def test_index_matches_scanning_oracles():
                     and _coreachable_to(G, s) == _coreachable_to(G, t))
             seen["self-loop"] += G.has_edge(s, s)
             seen["no moves"] += not G.enabled(s)
-            seen["nondeterministic"] += not G.is_deterministic_state(s)
+            seen["nondeterministic"] += not _is_deterministic_state(G, s)
         seen["unreachable"] += len(_reachable_from(G, G.root)) < G.n
+        classes = {}
+        for s in range(G.n):
+            key = (frozenset(_reachable_from(G, s)),
+                   frozenset(_coreachable_to(G, s)))
+            classes.setdefault(key, []).append(s)
+        classes = sorted(classes.values())
+        assert path_equivalence_classes(G) == classes
+        Q, want = quotient(G), _quotient_by(G, classes)
+        assert Q == want and Q.names == want.names
+        seen["merged class"] += Q.n < G.n
         seen["no edges"] += not G.transitions
         assert G.has_cycle() == _has_cycle(G)
         assert max_branching(G) == _max_branching(G)

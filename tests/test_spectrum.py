@@ -98,7 +98,7 @@ def test_negations_collapse():
     for x in L.elements:
         assert L.pseudocomplement(x) == (B if x == E else E)
         assert L.conegation(x) == (E if x == B else B)
-        assert L.boundary(x) == E
+        assert L.meet(x, L.pseudocomplement(x)) == E
     assert sorted(L.boolean_core(), key=repr) == sorted([E, B], key=repr)
 
 
@@ -318,9 +318,6 @@ class _FiniteDistributiveLattice:
     def conegation(self, x):
         return self.coheyting(self.top, x)
 
-    def boundary(self, x):
-        return self.meet(x, self.pseudocomplement(x))
-
     def boolean_core(self):
         return [x for x in self.elements
                 if self.pseudocomplement(self.pseudocomplement(x)) == x]
@@ -341,8 +338,9 @@ def _answers(L, seq=list):
            "indecomposability": (ind["connected"], ind["components"],
                                  seq(ind["j_covers"]))}
     for a in E:
-        for name in ("pseudocomplement", "conegation", "boundary"):
+        for name in ("pseudocomplement", "conegation"):
             out[name, a] = getattr(L, name)(a)
+        out["boundary", a] = L.meet(a, L.pseudocomplement(a))
         for b in E:
             for name in ("meet", "join", "leq", "lt", "heyting",
                          "coheyting"):

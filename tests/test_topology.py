@@ -34,7 +34,7 @@ def test_test_objects_are_canonical_trees():
     trees = tp.test_objects(("a",), BOUNDS)
     for T in trees:
         assert tp.is_rooted_tree(T)
-        assert tp.tree_depth(T) <= 2 and T.n <= 4
+        assert tp.height(T, T.root) <= 2 and T.n <= 4
     # over one letter: empty, a, aa, a+a, a+aa, aa+a duplicates collapse...
     sigs = {(T.n, tuple(sorted(T.transitions))) for T in trees}
     assert len(sigs) == len(trees)
