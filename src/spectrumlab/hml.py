@@ -326,27 +326,27 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
     ready and full families list the inabilities !<a>T, of depth 1, at every
     max_depth, 0 included.  A smaller max_depth gives a prefix of the family.
     """
-    kinds = _fragment_kinds(fragment)
-    alphabet = tuple(sorted(alphabet))
-    # inability atoms, depth 1
+    return list(_canonical_family(alphabet, max_depth, fragment, max_conj))
+
+
+def _canonical_family(alphabet, max_depth, fragment, max_conj=2):
+    """canonical_formulas lazily: a depth's bodies are built on reaching it."""
+    kinds, alphabet = _fragment_kinds(fragment), tuple(sorted(alphabet))
     inabilities = ([Neg(Diamond(a, TOP)) for a in alphabet]
                    if "!<a>T" in kinds else [])
     modalities = (Diamond, Box) if "[a]" in kinds else (Diamond,)
+    yield from [TOP] + ([BOT] if "F" in kinds else []) + inabilities
     terms = []  # by depth; before round d, those of depth < d
     for d in range(1, max_depth + 1):
-        if d == 1:
-            bodies = [TOP]
-        elif "&" not in kinds:
-            bodies = [TOP] + terms
-        else:
-            body_pool = terms + inabilities
-            limit = len(body_pool) if max_conj is None else max_conj
-            bodies = [reduce(And, combo) if combo else TOP
-                      for k in range(0, limit + 1)
-                      for combo in itertools.combinations(body_pool, k)]
-        terms.extend(modality(a, b) for a in alphabet
-                     for modality in modalities for b in bodies)
-    return [TOP] + ([BOT] if "F" in kinds else []) + inabilities + terms
+        pool = terms + inabilities if d > 1 else []  # a body's conjuncts
+        limit = (1 if "&" not in kinds else  # at most limit of them, or T
+                 len(pool) if max_conj is None else max_conj)
+        bodies = [reduce(And, combo) if combo else TOP
+                  for k in range(limit + 1)
+                  for combo in itertools.combinations(pool, k)]
+        for a, op, body in itertools.product(alphabet, modalities, bodies):
+            terms.append(op(a, body))
+            yield terms[-1]
 
 
 def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
@@ -359,7 +359,7 @@ def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
     alphabet = sorted(set(M.alphabet) | set(N.alphabet))
     shared = set(M.alphabet) & set(N.alphabet)
     on_m, on_n = {}, {}  # one memo per system across the family
-    for phi in canonical_formulas(alphabet, depth_bound, fragment):
+    for phi in _canonical_family(alphabet, depth_bound, fragment):
         if (labels_of(phi) <= shared and extension(M, phi, on_m) >> M.root & 1
                 and not extension(N, phi, on_n) >> N.root & 1):
             return phi

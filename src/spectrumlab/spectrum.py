@@ -1,11 +1,11 @@
 """Energy vectors and the finite distributive lattice calculus.
 
-Vectors live in (N u {inf})^6; the infinite component is float('inf'), which
-absorbs max exactly.  The spectrum lattice numbers its elements, keeps
-checked int meet/join tables and up-/down-set bitmasks, and answers Heyting and
-co-Heyting operations, negations, irreducibles and the Boolean core on the
-numbers.  Lattices of sets (downsets of a finite poset) compute meet, join
-and order on demand and are numbered only when a method reads the tables."""
+Vectors live in (N u {inf})^6, inf being float('inf').  The spectrum lattice
+closes the named vectors in semi-naive rounds on thermometer codes (min and
+max are & and |), numbers its elements, keeps int meet/join tables and
+up-/down-set masks, and answers Heyting and co-Heyting operations, negations,
+irreducibles and the Boolean core on the numbers.  Lattices of sets (downsets
+of a finite poset) are numbered only when a method reads the tables."""
 
 import itertools
 import operator
@@ -37,15 +37,15 @@ NAME_OF_VECTOR = {v: k for k, v in NAMED_VECTORS.items()}
 
 
 def vec_meet(a, b):
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def vec_join(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def vec_leq(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def format_vector(v):
@@ -63,8 +63,6 @@ class FiniteDistributiveLattice:
     def __init__(self, elements, meet, join):
         self.elements = sorted(set(elements), key=repr)
         self._number(self.elements, meet, join)
-        self.bottom = self.elements[self._bot]
-        self.top = self.elements[self._top]
 
     def _number(self, keys, meet, join):
         n = range(len(keys))  # meet and join act on keys[i], for element i
@@ -80,6 +78,8 @@ class FiniteDistributiveLattice:
                      for row in self.meet_table]
         self._bot = reduce(lambda i, j: self.meet_table[i][j], n)
         self._top = reduce(lambda i, j: self.join_table[i][j], n)
+        self.bottom = self.elements[self._bot]
+        self.top = self.elements[self._top]
 
     def meet(self, a, b):
         return self.elements[self.meet_table[self.index[a]][self.index[b]]]
@@ -113,34 +113,46 @@ class FiniteDistributiveLattice:
             lambda acc, a: table[acc][a], (a for a in n if a != x and (
                 mt[x][a] == x if dual else mt[a][x] == a)), end) != x]
 
-    def is_distributive(self):
+    def is_distributive(self):  # one row of all c per (a, b)
         mt, jt = self.meet_table, self.join_table
-        return all(ma[jb[c]] == jt[ma[b]][ma[c]] for ma in mt
-                   for b, jb in enumerate(jt) for c in range(len(jb)))
+        at_j, at_m = ([operator.itemgetter(*r) for r in t] for t in (jt, mt))
+        return all(at_j[b](ma) == at_m[a](jt[ab])
+                   for a, ma in enumerate(mt) for b, ab in enumerate(ma))
 
     def _join_n(self, numbers):
         return reduce(lambda h, z: self.join_table[h][z], numbers, self._bot)
 
     def heyting_n(self, a, b):
         """Largest z with z & a <= b: the element whose down-set is the union
-        of the groups {z : z & a = w} over w <= b, else that union's join."""
+        of the groups {z : z & a = w} over w <= b, else that union's join.
+        As z & a <= b iff z & a <= a & b, it is memoized on (a, a & b)."""
         if not hasattr(self, "_groups"):  # _groups[a][w]: z with z & a = w
             self._groups = [{} for _ in self.meet_table]
             for z, row in enumerate(self.meet_table):
                 for col, w in zip(self._groups, row):
                     col[w] = col.get(w, 0) | 1 << z
             self._principal = {d: i for i, d in enumerate(self.down)}
-        below_b = self.down[b]
-        cand = sum(m for w, m in self._groups[a].items() if below_b >> w & 1)
-        return self._principal[cand] if cand in self._principal else \
-            self._join_n(z for z in range(len(self.up)) if cand >> z & 1)
+            self._himp = {}
+        key = a, self.meet_table[a][b]
+        if key not in self._himp:
+            below = self.down[key[1]]
+            cand = sum(m for w, m in self._groups[a].items() if below >> w & 1)
+            self._himp[key] = (self._principal[cand] if cand in self._principal
+                               else self._join_n(z for z in range(len(self.up))
+                                                 if cand >> z & 1))
+        return self._himp[key]
 
     def coheyting_n(self, x, y):
-        """Birkhoff subtraction: join of irreducibles under x but not y."""
+        """Birkhoff subtraction: join of irreducibles under x but not y; for j
+        under x, j <= y iff j <= x & y, so it is memoized on (x, x & y)."""
         if not hasattr(self, "_jn"):
             self._jn = [self.index[j] for j in self.join_irreducibles()]
-        return self._join_n(j for j in self._jn
-                            if self.up[j] >> x & 1 and not self.up[j] >> y & 1)
+            self._csub = {}
+        key = x, self.meet_table[x][y]
+        if key not in self._csub:
+            cut = self.down[x] & ~self.down[y]
+            self._csub[key] = self._join_n(j for j in self._jn if cut >> j & 1)
+        return self._csub[key]
 
     def heyting(self, a, b):
         return self.elements[self.heyting_n(self.index[a], self.index[b])]
@@ -202,26 +214,39 @@ class SetLattice(FiniteDistributiveLattice):
 def close_sublattice(seed):
     """Smallest superset of seed closed under pairwise componentwise min/max.
 
-    Returns (lattice, provenance, rounds).  A round is one pass over all
-    current pairs; the count includes the final pass that adds nothing.
-    Provenance maps each vector to its name or first deriving expression.
+    Returns (lattice, provenance, rounds).  A round is one pass over the
+    pairs with a fresh vector, one the previous round added (all, at first);
+    the count includes the final round that adds nothing.  Provenance maps
+    each vector to its name or first deriving expression.  A vector's code
+    has, per component, one bit for each seed value above the least, set up
+    to its own value: min and max make no new value, so they are & and |.
     """
     current = sorted(set(seed))
-    provenance = {v: NAME_OF_VECTOR.get(v, format_vector(v))
-                  for v in current}
-    for rounds in itertools.count(1):
-        added = []
+    if len({len(v) for v in current}) > 1:
+        raise ValueError("seed vectors of unequal length")
+    code = dict.fromkeys(current, 0)
+    for i, vals in enumerate(map(sorted, map(set, zip(*current)))):
+        for v in current:
+            code[v] = code[v] << len(vals) - 1 | (1 << vals.index(v[i])) - 1
+    provenance = {v: NAME_OF_VECTOR.get(v, format_vector(v)) for v in current}
+    added, rounds, codes = current, 0, set(code.values())
+    while added:
+        fresh, added, rounds = set(added), [], rounds + 1
         for a, b in itertools.combinations(sorted(current), 2):
-            for (op, sym) in ((vec_meet, "∧"), (vec_join, "∨")):
-                v = op(a, b)
-                if v not in provenance:
-                    provenance[v] = "%s%s%s" % (provenance[a], sym, provenance[b])
-                    added.append(v)
-        if not added:
-            break
+            if a in fresh or b in fresh:
+                for c, op, sym in ((code[a] & code[b], vec_meet, "∧"),
+                                   (code[a] | code[b], vec_join, "∨")):
+                    if c not in codes:
+                        v = op(a, b)
+                        code[v] = c
+                        codes.add(c)
+                        provenance[v] = provenance[a] + sym + provenance[b]
+                        added.append(v)
         current.extend(added)
-    lattice = FiniteDistributiveLattice(current, vec_meet, vec_join)
-    return lattice, provenance, rounds
+    L = FiniteDistributiveLattice.__new__(FiniteDistributiveLattice)
+    L.elements = sorted(current, key=repr)
+    L._number([code[v] for v in L.elements], operator.and_, operator.or_)
+    return L, provenance, rounds
 
 
 @lru_cache(maxsize=None)

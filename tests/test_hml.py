@@ -97,19 +97,42 @@ def _distinguishing_by_points(M, N, fragment, depth_bound):
     return None
 
 
+def test_distinguishing_formula_stops_at_its_separator(monkeypatch):
+    """The search draws the family up to its answer and no further: on U
+    against Q in the full fragment at depth 3, a family of about 245,000
+    formulas, it stops at the 20th, before any depth-3 body is built."""
+    first = hml.canonical_formulas(("a", "b", "c"), 2, "full")[:20]
+    drawn, enumerate_family = [], hml._canonical_family
+
+    def family(*args):
+        for phi in enumerate_family(*args):
+            drawn.append(phi)
+            yield phi
+
+    monkeypatch.setattr(hml, "_canonical_family", family)
+    U, Q = catalog("U"), catalog("Q")
+    got = hml.distinguishing_formula(U, Q, "full", 3)
+    assert str(got) == "<a>!<b>T" and drawn[-1] == got
+    assert drawn == first
+
+
 def test_distinguishing_formula_matches_pointwise_loop(monkeypatch):
     """The same separator, or None, as the pointwise loop on every ordered
     pair of distinct catalog systems over one alphabet and on 200 seeded
     pairs of at most 4 states over {a, b}, in every fragment at depths 0 to
-    3.  Each family is enumerated once and handed to both loops."""
-    families, enumerate_family = {}, hml.canonical_formulas
+    3.  Each family is enumerated once, by the engine's generator, and the
+    list is handed to both loops: in place of the generator the engine
+    reads and of canonical_formulas, which the oracle reads."""
+    families, enumerate_family = {}, hml._canonical_family
 
-    def family(alphabet, depth_bound, fragment):
-        key = (tuple(alphabet), depth_bound, fragment)
+    def family(alphabet, depth_bound, fragment, max_conj=2):
+        key = (tuple(alphabet), depth_bound, fragment, max_conj)
         if key not in families:
-            families[key] = enumerate_family(alphabet, depth_bound, fragment)
+            families[key] = list(enumerate_family(alphabet, depth_bound,
+                                                  fragment, max_conj))
         return families[key]
 
+    monkeypatch.setattr(hml, "_canonical_family", family)
     monkeypatch.setattr(hml, "canonical_formulas", family)
     systems = list(catalog_systems().values())
     pairs = [(M, N) for M in systems for N in systems

@@ -24,6 +24,15 @@ def test_vector_operations():
     assert sp.vec_join(a, b) == (sp.INF, sp.INF, sp.INF, sp.INF, 1, 1)
     assert sp.vec_leq(sp.vec_meet(a, b), a)
     assert sp.format_vector(a) == "(inf,2,0,0,1,1)"
+    # against the zip-based forms they replaced, on seeded vectors
+    rng = random.Random(23)
+    for _ in range(500):
+        d = rng.randint(0, 6)
+        x, y = ([rng.choice((0, 1, 2, 3, 5, sp.INF)) for _ in range(d)]
+                for _ in "xy")
+        assert sp.vec_meet(x, y) == _vec_meet(x, y)
+        assert sp.vec_join(x, y) == _vec_join(x, y)
+        assert sp.vec_leq(x, y) == all(p <= q for p, q in zip(x, y))
 
 
 def test_named_vectors_form_expected_order():
@@ -505,3 +514,111 @@ def test_adjunction_masks_match_the_triple_scan():
     assert report.adjunctions(n5) == _adjunctions_by_triples(n5)
     assert report.adjunctions(n5)[0] is False
     assert report.adjunctions(m3) == _adjunctions_by_triples(m3)
+
+
+# The closure close_sublattice computed on the vectors themselves before it
+# worked on thermometer codes, kept verbatim with the zip-based vector
+# operations it used: the oracle for the coded, semi-naive closure.
+
+
+def _vec_meet(a, b):
+    return tuple(min(x, y) for x, y in zip(a, b))
+
+
+def _vec_join(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _close_by_vectors(seed):
+    current = sorted(set(seed))
+    provenance = {v: sp.NAME_OF_VECTOR.get(v, sp.format_vector(v))
+                  for v in current}
+    for rounds in itertools.count(1):
+        added = []
+        for a, b in itertools.combinations(sorted(current), 2):
+            for (op, sym) in ((_vec_meet, "∧"), (_vec_join, "∨")):
+                v = op(a, b)
+                if v not in provenance:
+                    provenance[v] = "%s%s%s" % (provenance[a], sym, provenance[b])
+                    added.append(v)
+        if not added:
+            break
+        current.extend(added)
+    lattice = sp.FiniteDistributiveLattice(current, _vec_meet, _vec_join)
+    return lattice, provenance, rounds
+
+
+def _closure_seeds():
+    """The closed families of _vector_families, seeded subsets of L30 and
+    of the named vectors, and seeded vectors over {0, 1, 2, 3, 5, inf} of
+    every length from 1 to 6."""
+    yield from _vector_families()
+    rng = random.Random(19)
+    elements = L30()[0].elements
+    for _ in range(20):
+        yield rng.sample(elements, rng.randint(1, 8))
+        yield rng.sample(list(sp.NAMED_VECTORS.values()), rng.randint(2, 9))
+    for _ in range(80):
+        d = rng.randint(1, 6)
+        yield [tuple(rng.choice((0, 1, 2, 3, 5, sp.INF)) for _ in range(d))
+               for _ in range(rng.randint(1, 5))]
+
+
+def _closure_answers(seed, close):
+    L, provenance, rounds = close(seed)
+    return (L.elements, list(provenance.items()), rounds, L.meet_table,
+            L.join_table, L.up, L.down, L.bottom, L.top)
+
+
+def test_coded_closure_matches_vector_closure():
+    rounds, sizes = set(), set()
+    for seed in _closure_seeds():
+        got = _closure_answers(seed, sp.close_sublattice)
+        assert got == _closure_answers(seed, _close_by_vectors), seed
+        rounds.add(got[2])
+        sizes.add(len(got[0]))
+    assert {1, 2, 3} <= rounds and max(rounds) >= 4
+    assert 1 in sizes and 30 in sizes and max(sizes) > 60
+
+
+def test_closure_rejects_vectors_of_unequal_length():
+    for seed in ([(0, 1), (1, 0, 0)], [(0,), (0, 1)], [(1, 2, 3), ()]):
+        with pytest.raises(ValueError, match="unequal length"):
+            sp.close_sublattice(seed)
+
+
+def _memo_cases():
+    """(name, a maker of fresh copies of a lattice, its meet and join)."""
+    yield ("L30", lambda: sp.close_sublattice(sp.NAMED_VECTORS.values())[0],
+           sp.vec_meet, sp.vec_join)
+    for name, (elems, (meet, join)) in zip(("N5", "M3"),
+                                          _pentagon_and_diamond()):
+        yield (name, lambda e=elems, m=meet, j=join:
+               sp.FiniteDistributiveLattice(e, m, j), meet, join)
+    for i, D in enumerate(_random_poset_lattices(17, 200)):
+        yield ("poset%d" % i, lambda e=D.elements: sp.SetLattice(e),
+               operator.and_, operator.or_)
+
+
+def test_heyting_memo_answers_alike_in_any_order():
+    """heyting_n and coheyting_n, memoized on (a, a & b), give the tables of
+    the join of candidates and of the tuple-keyed lattice whether they are
+    filled by rows, by columns or in reverse, each order on a fresh copy."""
+    sizes = set()
+    for name, fresh, meet, join in _memo_cases():
+        L = fresh()
+        E, n = L.elements, range(len(L.elements))
+        oracle = _FiniteDistributiveLattice(E, meet, join)
+        himp = [[L.index[oracle.heyting(E[a], E[b])] for b in n] for a in n]
+        csub = [[L.index[oracle.coheyting(E[a], E[b])] for b in n]
+                for a in n]
+        assert himp == [[_heyting_by_join(L, a, b) for b in n] for a in n]
+        rows = [(a, b) for a in n for b in n]
+        for order in (rows, [(a, b) for b, a in rows], rows[::-1]):
+            for op, want in (("heyting_n", himp), ("coheyting_n", csub)):
+                L, got = fresh(), [[None] * len(n) for _ in n]
+                for a, b in order:
+                    got[a][b] = getattr(L, op)(a, b)
+                assert got == want, (name, op)
+        sizes.add(len(E))
+    assert {1, 2, 5, 30, 32} <= sizes and len(sizes) > 10
