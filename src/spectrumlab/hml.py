@@ -331,6 +331,9 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
 
 def _canonical_family(alphabet, max_depth, fragment, max_conj=2):
     """canonical_formulas lazily: a depth's bodies are built on reaching it."""
+    for noun, k in (("depth", max_depth), ("conjunction", max_conj)):
+        if k is not None and k < 0:
+            raise ValueError("%s bound must be at least 0, not %d" % (noun, k))
     kinds, alphabet = _fragment_kinds(fragment), tuple(sorted(alphabet))
     inabilities = ([Neg(Diamond(a, TOP)) for a in alphabet]
                    if "!<a>T" in kinds else [])
@@ -354,8 +357,6 @@ def distinguishing_formula(M, N, fragment="diamondOnly", depth_bound=2):
     false at root_N, or None if the bounded family has no separator."""
     if depth_bound > 3:
         raise ValueError("depth bound capped at 3")
-    if depth_bound < 0:
-        raise ValueError("depth bound must be at least 0, not %d" % depth_bound)
     alphabet = sorted(set(M.alphabet) | set(N.alphabet))
     shared = set(M.alphabet) & set(N.alphabet)
     on_m, on_n = {}, {}  # one memo per system across the family
@@ -394,6 +395,8 @@ def tree_unravel(G, v, d):
     endpoint projection homomorphism."""
     if d < 0:
         raise ValueError("depth bound must be at least 0, not %d" % d)
+    if not 0 <= v < G.n:
+        raise ValueError("no state %r in a system of %d states" % (v, G.n))
     paths = [((None, v),)]  # a path is a tuple of (incoming label, state)
     frontier = [((None, v),)]
     for _ in range(d):

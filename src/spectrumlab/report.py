@@ -432,6 +432,17 @@ def criterion_11():
     return ("Geometric closure", rows)
 
 
+def _disjoint_union(parts):
+    """(U, offsets): parts side by side, parts[i]'s s at offsets[i] + s."""
+    alphabet = parts[0].alphabet
+    if any(P.alphabet != alphabet for P in parts):
+        raise ValueError("parts over unequal alphabets")
+    offsets = list(itertools.accumulate((P.n for P in parts), initial=0))
+    edges = frozenset((o + s, a, o + t) for P, o in zip(parts, offsets)
+                      for (s, a, t) in P.transitions)
+    return FinLTS(offsets.pop(), alphabet, parts[0].root, edges), offsets
+
+
 def criterion_12():
     rows = []
     dia = catalog("diamond")
@@ -441,22 +452,23 @@ def criterion_12():
                        tree.n, 5))
     rows.append(_eqrow("vertex names", names, sorted(["ε", "b", "c", "bd", "cd"])))
     preserve = shapes = True
-    families = {}  # by alphabet: depths 0 to 3, each a prefix of depth 3's
-    for name in sorted(catalog_systems()):
-        G, on_g = catalog(name), {}
-        if G.alphabet not in families:
-            deepest = hml.canonical_formulas(G.alphabet, 3, "diamondOnly")
-            families[G.alphabet] = [deepest[:len(hml.canonical_formulas(
-                G.alphabet, d, "diamondOnly"))] for d in range(3)] + [deepest]
-        for d, family in enumerate(families[G.alphabet]):
-            T, _ = hml.tree_unravel(G, G.root, d)
-            if not is_rooted_tree(T):
-                shapes = False
-            on_t = {}
-            for phi in family:
-                if (hml.extension(G, phi, on_g) >> G.root & 1
-                        != hml.extension(T, phi, on_t) & 1):
-                    preserve = False
+    groups = {}  # by alphabet: per system G, then T_0 to T_3, each rooted at 0
+    for _, G in sorted(catalog_systems().items()):
+        parts = [G] + [hml.tree_unravel(G, G.root, d)[0] for d in range(4)]
+        shapes = all([is_rooted_tree(T) for T in parts[1:]]) and shapes
+        groups.setdefault(G.alphabet, []).extend(parts)
+    for alphabet, parts in groups.items():
+        # Modal truth is invariant under disjoint union: one extension on the
+        # union of an alphabet's systems and unravelings answers every root.
+        U, offsets = _disjoint_union(parts)
+        deepest, memo = hml.canonical_formulas(alphabet, 3, "diamondOnly"), {}
+        masks = [hml.extension(U, phi, memo) for phi in deepest]
+        sizes = [len(hml.canonical_formulas(alphabet, d, "diamondOnly"))
+                 for d in range(3)] + [len(deepest)]  # prefixes of deepest
+        for i in range(0, len(parts), 5):
+            g = offsets[i] + parts[i].root
+            for t, size in zip(offsets[i + 1:i + 5], sizes):
+                preserve &= all(m >> g & 1 == m >> t & 1 for m in masks[:size])
     rows.append(_row("depth-d formulas preserved for every system, d <= 3",
                      preserve))
     rows.append(_row("every unraveling is a clean tree", shapes))

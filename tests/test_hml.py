@@ -196,6 +196,36 @@ def test_oracle_agrees_with_fixpoint_decision():
             assert hml.d_equivalence_oracle(M, N, d) == d_equivalent(M, N, d)
 
 
+def test_negative_family_bounds_are_rejected():
+    """A negative depth or conjunction bound is an error, not the family
+    [T, F] (which made d_equivalence_oracle answer True at depth -1)."""
+    Q, U = catalog("Q"), catalog("U")
+    depth = "depth bound must be at least 0, not -1"
+    for call in (lambda: hml.canonical_formulas(("a",), -1),
+                 lambda: hml.canonical_formulas(("a",), -1, "full", None),
+                 lambda: hml.d_equivalence_oracle(Q, U, -1),
+                 lambda: hml.distinguishing_formula(Q, U, "full", -1)):
+        with pytest.raises(ValueError, match=depth):
+            call()
+    with pytest.raises(ValueError,
+                       match="conjunction bound must be at least 0, not -1"):
+        hml.canonical_formulas(("a",), 1, max_conj=-1)
+    assert hml.canonical_formulas(("a",), 0) == [hml.TOP, hml.BOT]
+    assert hml.canonical_formulas(("a",), 1, max_conj=0) == [
+        hml.TOP, hml.BOT, hml.Diamond("a", hml.TOP)]
+
+
+def test_tree_unravel_rejects_a_state_out_of_range():
+    Q = catalog("Q")
+    for v in (Q.n, Q.n + 5, -1):
+        message = "no state %d in a system of 4 states" % v
+        for d in range(4):
+            with pytest.raises(ValueError, match=message):
+                hml.tree_unravel(Q, v, d)
+    with pytest.raises(ValueError, match="depth bound must be at least 0"):
+        hml.tree_unravel(Q, Q.root, -1)
+
+
 def test_tree_unravel():
     D = catalog("diamond")
     tree, proj = hml.tree_unravel(D, D.root, 2)
