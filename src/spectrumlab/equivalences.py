@@ -202,9 +202,10 @@ def failures_equivalent(M, N):
 # function-pair searches
 
 
-def _pair_search(M, N, same):
-    """The first hom pair (f: M->N, g: N->M) whose round trips are both
-    the same as the identity, or None."""
+def functional_bisim_search(M, N):
+    """The first hom pair (f: M->N, g: N->M) with both round trips
+    path-equivalent to the identity, or None: exhaustively-verified
+    absence."""
     budget = enumeration_budget()
     maps = max(N.n ** M.n, M.n ** N.n)
     if maps > budget:
@@ -216,25 +217,18 @@ def _pair_search(M, N, same):
                              "hom pairs", budget)
     for f in fwd:
         for g in bwd:
-            if (all(same(M, g(f(s)), s) for s in range(M.n))
-                    and all(same(N, f(g(t)), t) for t in range(N.n))):
+            if (all(path_equivalent(M, g(f(s)), s) for s in range(M.n))
+                    and all(path_equivalent(N, f(g(t)), t)
+                            for t in range(N.n))):
                 return f, g
     return None
 
 
-def functional_bisim_search(M, N):
-    """Simulations (f: M->N, g: N->M) with both round trips path-equivalent
-    to the identity, or None: exhaustively-verified absence."""
-    return _pair_search(M, N, path_equivalent)
-
-
 def bi_interpretation_search(M, N):
-    """Like functional_bisim_search but with round trips only required to be
-    mutually reachable with the identity."""
-    def mutual(G, u, v):
-        reach = G._reach[0]
-        return reach[u] >> v & 1 and reach[v] >> u & 1
-    return _pair_search(M, N, mutual)
+    """Hom pairs with round trips mutually reachable with the identity:
+    functional_bisim_search, since two states reach each other exactly when
+    they reach the same states, which is path equivalence."""
+    return functional_bisim_search(M, N)
 
 
 def quotient_bridge_check(M, N):

@@ -140,7 +140,7 @@ def eval_formula(G, phi, env):
         if phi.pred == "D":
             return G.has_edge(u, v)
         if phi.pred == "G":
-            return bool(G._reach[0][u] >> v & 1)
+            return bool(G._reach[u] >> v & 1)
         if phi.pred == "T":
             return path_equivalent(G, u, v)
         raise ValueError("unknown predicate %s" % phi.pred)
@@ -310,7 +310,7 @@ def generate_theory(M):
         theory.append(Sequent(("x",), Atom("D", c[s], x),
                               Or(tuple(Eq(x, c[t]) for t in succ))
                               if succ else BOT))
-    reach = M._reach[0]
+    reach = M._reach
     for s in range(M.n):
         for t in range(M.n):
             if not reach[s] >> t & 1:

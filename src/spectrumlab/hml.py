@@ -9,7 +9,8 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import partial, reduce
 
-from .lts import FinLTS, Homomorphism, ParseError, _image, is_rooted_tree
+from .lts import (BudgetExceeded, FinLTS, Homomorphism, ParseError, _image,
+                  enumeration_budget, is_rooted_tree)
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +330,15 @@ def canonical_formulas(alphabet, max_depth, fragment="diamondOnly",
     return list(_canonical_family(alphabet, max_depth, fragment, max_conj))
 
 
-def _canonical_family(alphabet, max_depth, fragment, max_conj=2):
-    """canonical_formulas lazily: a depth's bodies are built on reaching it."""
+def _check_bounds(max_depth, max_conj):
     for noun, k in (("depth", max_depth), ("conjunction", max_conj)):
         if k is not None and k < 0:
             raise ValueError("%s bound must be at least 0, not %d" % (noun, k))
+
+
+def _canonical_family(alphabet, max_depth, fragment, max_conj=2):
+    """canonical_formulas lazily: a depth's bodies are built on reaching it."""
+    _check_bounds(max_depth, max_conj)
     kinds, alphabet = _fragment_kinds(fragment), tuple(sorted(alphabet))
     inabilities = ([Neg(Diamond(a, TOP)) for a in alphabet]
                    if "!<a>T" in kinds else [])
@@ -377,8 +382,17 @@ def truth_set(G, s, formulas):
 
 def d_equivalence_oracle(M, N, d):
     """Same canonical diamond-only formulas of depth <= d at the roots
-    (complete conjunction sets; intended for d <= 2)."""
+    (complete conjunction sets; intended for d <= 2).  The family is counted
+    against the budget before it is built."""
     alphabet = sorted(set(M.alphabet) | set(N.alphabet))
+    _check_bounds(d, None)
+    budget, size = enumeration_budget(), 2  # T and F
+    for _ in range(d):  # each depth: a diamond per label over each set of
+        if size > budget:  # the terms so far; stop at the first depth past
+            break  # the budget, as the next count can reach 2**size
+        size += len(alphabet) << size - 2
+    if size > budget:
+        raise BudgetExceeded("formula oracle", size, "formulas", budget)
     formulas = [phi for phi in canonical_formulas(alphabet, d, "diamondOnly",
                                                   max_conj=None)
                 if not (labels_of(phi) - set(M.alphabet))

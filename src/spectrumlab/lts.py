@@ -133,20 +133,18 @@ class FinLTS:
 
     @cached_property
     def _reach(self):
-        """Per state two reflexive-transitive masks: the states it reaches,
-        then the states that reach it."""
-        steps = ([0] * self.n, [0] * self.n)
+        """Per state the reflexive-transitive mask of the states it reaches.
+        Two states reach the same states iff they reach each other."""
+        step = [0] * self.n
         for (s, a, t) in self.transitions:
-            steps[0][s] |= 1 << t
-            steps[1][t] |= 1 << s
-        reach = ([], [])
-        for step, col in zip(steps, reach):
-            for s in range(self.n):
-                seen = frontier = 1 << s
-                while frontier:
-                    frontier = _image(step, frontier) & ~seen
-                    seen |= frontier
-                col.append(seen)
+            step[s] |= 1 << t
+        reach = []
+        for s in range(self.n):
+            seen = frontier = 1 << s
+            while frontier:
+                frontier = _image(step, frontier) & ~seen
+                seen |= frontier
+            reach.append(seen)
         return reach
 
     def moves(self, s):
@@ -176,7 +174,7 @@ class FinLTS:
 
     def has_cycle(self):
         """Some edge s -> t leads back: s is reachable from t."""
-        reach = self._reach[0]
+        reach = self._reach
         return any(reach[t] >> s & 1 for (s, a, t) in self.transitions)
 
 
@@ -210,7 +208,7 @@ def unlabeled(names, root_name, pairs):
 
 def reachable_from(G, s):
     """The states s reaches (reflexive-transitive), as a fresh set."""
-    mask = G._reach[0][s]
+    mask = G._reach[s]
     return {t for t in range(mask.bit_length()) if mask >> t & 1}
 
 
@@ -219,16 +217,15 @@ def reachable_states(G):
 
 
 def path_equivalence_classes(G):
-    """Partition by (forward reach mask, backward reach mask)."""
+    """Partition by reach mask: the mutually reachable states."""
     classes = {}
-    for s, key in enumerate(zip(*G._reach)):
-        classes.setdefault(key, []).append(s)
+    for s, mask in enumerate(G._reach):
+        classes.setdefault(mask, []).append(s)
     return sorted(classes.values())
 
 
 def path_equivalent(G, s, t):
-    fwd, back = G._reach
-    return (fwd[s], back[s]) == (fwd[t], back[t])
+    return G._reach[s] == G._reach[t]
 
 
 def quotient(G):

@@ -122,37 +122,30 @@ class FiniteDistributiveLattice:
     def _join_n(self, numbers):
         return reduce(lambda h, z: self.join_table[h][z], numbers, self._bot)
 
+    def _join_irreducibles_n(self, key, keep):
+        """Join of the join-irreducibles j with keep(j), memoized on key."""
+        if not hasattr(self, "_jn"):
+            self._jn = [self.index[j] for j in self.join_irreducibles()]
+            self._birkhoff = {}
+        if key not in self._birkhoff:
+            self._birkhoff[key] = self._join_n(filter(keep, self._jn))
+        return self._birkhoff[key]
+
     def heyting_n(self, a, b):
-        """Largest z with z & a <= b: the element whose down-set is the union
-        of the groups {z : z & a = w} over w <= b, else that union's join.
-        As z & a <= b iff z & a <= a & b, it is memoized on (a, a & b)."""
-        if not hasattr(self, "_groups"):  # _groups[a][w]: z with z & a = w
-            self._groups = [{} for _ in self.meet_table]
-            for z, row in enumerate(self.meet_table):
-                for col, w in zip(self._groups, row):
-                    col[w] = col.get(w, 0) | 1 << z
-            self._principal = {d: i for i, d in enumerate(self.down)}
-            self._himp = {}
-        key = a, self.meet_table[a][b]
-        if key not in self._himp:
-            below = self.down[key[1]]
-            cand = sum(m for w, m in self._groups[a].items() if below >> w & 1)
-            self._himp[key] = (self._principal[cand] if cand in self._principal
-                               else self._join_n(z for z in range(len(self.up))
-                                                 if cand >> z & 1))
-        return self._himp[key]
+        """Birkhoff implication: join of irreducibles j with j & a <= b, which
+        is the join of all z with z & a <= b, as each z joins the irreducibles
+        under it; j & a <= b iff j & a <= a & b, so memoized on (a, a & b)."""
+        row = self.meet_table[a]
+        below = self.down[row[b]]
+        return self._join_irreducibles_n(("->", a, row[b]),
+                                         lambda j: below >> row[j] & 1)
 
     def coheyting_n(self, x, y):
         """Birkhoff subtraction: join of irreducibles under x but not y; for j
         under x, j <= y iff j <= x & y, so it is memoized on (x, x & y)."""
-        if not hasattr(self, "_jn"):
-            self._jn = [self.index[j] for j in self.join_irreducibles()]
-            self._csub = {}
-        key = x, self.meet_table[x][y]
-        if key not in self._csub:
-            cut = self.down[x] & ~self.down[y]
-            self._csub[key] = self._join_n(j for j in self._jn if cut >> j & 1)
-        return self._csub[key]
+        cut = self.down[x] & ~self.down[y]
+        return self._join_irreducibles_n(("-", x, self.meet_table[x][y]),
+                                         lambda j: cut >> j & 1)
 
     def heyting(self, a, b):
         return self.elements[self.heyting_n(self.index[a], self.index[b])]

@@ -270,6 +270,25 @@ def test_zero_budget_is_a_budget(monkeypatch):
     assert code == 3 and err.startswith("error: budget exceeded: "), err
 
 
+def test_formula_oracle_budget_exits_3(tmp_path, monkeypatch):
+    # 16 labels: 2 + 16 + 16 * 2**16 depth-2 formulas, counted, not built
+    labels = ["l%d" % i for i in range(16)]
+    paths = []
+    for name, states, target in (("m", ["r", "x"], "x"), ("n", ["r"], "r")):
+        paths.append(tmp_path / ("%s.json" % name))
+        paths[-1].write_text(json.dumps({
+            "states": states, "alphabet": labels, "root": "r",
+            "transitions": [["r", a, target] for a in labels]}))
+    for level in (("--all",), ("--level", "depth:2")):
+        code, out, err = run_cli("equiv", *map(str, paths), *level)
+        assert (code, out) == (3, ""), (level, out)
+        assert err == ("error: budget exceeded: formula oracle: 1048594 "
+                       "formulas, limit 1000000\n"), level
+    monkeypatch.setenv("SPECTRUM_BUDGET", "17")  # depth 1: 18 formulas
+    code, _, err = run_cli("equiv", *map(str, paths), "--level", "depth:1")
+    assert code == 3 and "formula oracle: 18 formulas, limit 17" in err
+
+
 def test_topology_support_multi_character_labels(tmp_path):
     # a label is an atom: "go" is one step, not the letters g and o
     path = tmp_path / "gostop.json"

@@ -5,8 +5,10 @@ import pytest
 
 from spectrumlab import equivalences as eq
 from spectrumlab.hml import d_equivalence_oracle
-from spectrumlab.lts import (BudgetExceeded, FinLTS, catalog, enumerate_homs,
-                             fan_lts, path_equivalent, trace_lts)
+from spectrumlab.lts import (BudgetExceeded, FinLTS, catalog, catalog_names,
+                             enumerate_homs, fan_lts, path_equivalent,
+                             trace_lts)
+from test_lts import _reachable_from
 
 
 def test_level_order_on_classic_pair():
@@ -132,6 +134,41 @@ def test_pair_search_hom_pair_budget_admits_its_limit(monkeypatch):
     with pytest.raises(BudgetExceeded, match=r"^function-pair search: 9 hom "
                                              r"pairs, limit 8$"):
         eq.functional_bisim_search(L, L)
+
+
+def _mutually_reachable(G, u, v):
+    """The predicate bi_interpretation_search once took: u and v reach each
+    other, here read from the scanning oracle."""
+    return v in _reachable_from(G, u) and u in _reachable_from(G, v)
+
+
+def _pair_search(M, N, same):
+    """The first hom pair (f, g) in enumeration order whose round trips are
+    both the same as the identity under same, or None."""
+    for f in enumerate_homs(M, N):
+        for g in enumerate_homs(N, M):
+            if (all(same(M, g(f(s)), s) for s in range(M.n))
+                    and all(same(N, f(g(t)), t) for t in range(N.n))):
+                return f, g
+    return None
+
+
+def test_pair_searches_match_mutual_reachability_oracle():
+    systems = [catalog(name) for name in catalog_names()]
+    pairs = list(itertools.product(systems, repeat=2))
+    pairs += _random_pairs(20261022, 300, 5)
+    answers = set()
+    for M, N in pairs:
+        try:
+            got = eq.functional_bisim_search(M, N)
+        except BudgetExceeded:  # U's eight states against six or more
+            with pytest.raises(BudgetExceeded):
+                eq.bi_interpretation_search(M, N)
+            continue
+        assert eq.bi_interpretation_search(M, N) == got
+        assert _pair_search(M, N, _mutually_reachable) == got
+        answers.add(got is None)
+    assert answers == {True, False}
 
 
 def test_quotient_bridge():

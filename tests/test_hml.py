@@ -7,8 +7,8 @@ from conftest import _cyclic_garbage_after, holds_by_isinstance
 
 from spectrumlab import hml
 from spectrumlab.equivalences import d_equivalent
-from spectrumlab.lts import (FinLTS, ParseError, catalog, catalog_systems,
-                             is_rooted_tree, trace_lts)
+from spectrumlab.lts import (BudgetExceeded, FinLTS, ParseError, catalog,
+                             catalog_systems, is_rooted_tree, trace_lts)
 
 
 def test_parse_print_roundtrip():
@@ -194,6 +194,26 @@ def test_oracle_agrees_with_fixpoint_decision():
     for M, N in itertools.combinations(systems, 2):
         for d in (0, 1, 2):
             assert hml.d_equivalence_oracle(M, N, d) == d_equivalent(M, N, d)
+
+
+def test_formula_oracle_counts_its_family_before_building_it(monkeypatch):
+    # the oracle runs within a budget of its family's size and, one below,
+    # names that size without building the family
+    build = hml.canonical_formulas
+    for k in range(9):
+        G = FinLTS(1, tuple("l%d" % i for i in range(k)), 0, frozenset())
+        for d in range(3):
+            size = len(build(G.alphabet, d, "diamondOnly", None))
+            monkeypatch.setenv("SPECTRUM_BUDGET", str(size))
+            assert hml.d_equivalence_oracle(G, G, d)
+            monkeypatch.setenv("SPECTRUM_BUDGET", str(size - 1))
+            monkeypatch.setattr(hml, "canonical_formulas",
+                                lambda *args, **kw: pytest.fail("built"))
+            with pytest.raises(BudgetExceeded, match=r"^formula oracle: %d "
+                               r"formulas, limit %d$" % (size, size - 1)):
+                hml.d_equivalence_oracle(G, G, d)
+            monkeypatch.setattr(hml, "canonical_formulas", build)
+    assert size == 2 + 8 + 8 * 2 ** 8
 
 
 def test_negative_family_bounds_are_rejected():

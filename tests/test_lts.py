@@ -314,13 +314,6 @@ def _coreachable_to(G, s):
     return seen
 
 
-def coreachable_to(G, s):
-    """The co-reach column's mask of s, decoded into a fresh set as
-    reachable_from decodes the forward one."""
-    mask = G._reach[1][s]
-    return {u for u in range(G.n) if mask >> u & 1}
-
-
 def _quotient_by(G, classes):
     """G with each class of states merged, numbered and named as listed."""
     cls_of = {s: i for i, c in enumerate(classes) for s in c}
@@ -349,11 +342,13 @@ def _random_system(rng):
     return FinLTS(n, alphabet, rng.randrange(n), frozenset(trans))
 
 
-def test_index_matches_scanning_oracles():
+def _check_index_against_scanning_oracles():
+    """Every index query of 600 seeded systems against its scanning oracle;
+    returns how often each case occurred."""
     rng = random.Random(20261018)
-    seen = {"tree": 0, "not tree": 0, "self-loop": 0, "no moves": 0,
-            "unreachable": 0, "nondeterministic": 0, "no edges": 0,
-            "merged class": 0}
+    seen = dict.fromkeys(("tree", "not tree", "self-loop", "no moves",
+                          "unreachable", "nondeterministic", "no edges",
+                          "merged class"), 0)
     for _ in range(600):
         G = _random_system(rng)
         labels = G.alphabet + ("z",)  # "z" is outside every alphabet
@@ -378,7 +373,6 @@ def test_index_matches_scanning_oracles():
                 for a in labels:
                     assert G.has_edge(s, t, a) == _has_edge(G, s, t, a)
             assert reachable_from(G, s) == _reachable_from(G, s)
-            assert coreachable_to(G, s) == _coreachable_to(G, s)
             assert type(reachable_from(G, s)) is set
             for t in range(G.n):
                 assert path_equivalent(G, s, t) == (
@@ -403,15 +397,36 @@ def test_index_matches_scanning_oracles():
         assert max_branching(G) == _max_branching(G)
         assert is_rooted_tree(G) == _is_rooted_tree(G)
         seen["tree" if _is_rooted_tree(G) else "not tree"] += 1
+    return seen
+
+
+def test_index_matches_scanning_oracles():
+    seen = _check_index_against_scanning_oracles()
     assert all(seen.values()), seen
+
+
+def _without_own_bits(reach):
+    return [mask & ~(1 << s) for s, mask in enumerate(reach)]
+
+
+def _last_component_merged(reach):
+    """The last state's component takes the mask of another component."""
+    other = next((m for m in reach if m != reach[-1]), reach[-1])
+    return [other if m == reach[-1] else m for m in reach]
+
+
+@pytest.mark.parametrize("mutant", [_without_own_bits, _last_component_merged])
+def test_index_checks_see_a_wrong_reach_column(monkeypatch, mutant):
+    build = FinLTS.__dict__["_reach"].func
+    monkeypatch.setattr(FinLTS, "_reach", property(lambda G: mutant(build(G))))
+    with pytest.raises(AssertionError):
+        _check_index_against_scanning_oracles()
 
 
 def test_reach_memo_is_not_shared_with_callers():
     G = catalog("fork")
     reachable_from(G, G.root).add(99)
-    coreachable_to(G, G.root).add(99)
     assert reachable_from(G, G.root) == {0, 1, 2}
-    assert coreachable_to(G, G.root) == {0}
     G.successors(G.root).append(99)
     assert G.successors(G.root) == [1, 2]
 
